@@ -108,13 +108,17 @@ fn kill_mid_write_recovers_previous_generation() {
     assert_eq!(snapshot.counter("store.recovery.fallbacks"), Some(1));
     assert_eq!(snapshot.counter("store.recovery.loads"), Some(1));
 
-    // The CLI verifier sees the same picture.
+    // The CLI verifier sees the same picture, and exits non-zero because a
+    // generation is corrupt.
     let output = lorentz_bin()
         .args(["store-verify", "--store-dir"])
         .arg(&store_dir)
         .output()
         .expect("spawn lorentz store-verify");
-    assert!(output.status.success(), "store-verify failed");
+    assert!(
+        !output.status.success(),
+        "store-verify must exit non-zero on a corrupt generation"
+    );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("gen 2: CORRUPT"), "stdout: {stdout}");
     assert!(stdout.contains("gen 1: OK"), "stdout: {stdout}");

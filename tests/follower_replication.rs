@@ -10,6 +10,9 @@ use lorentz::types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+mod common;
+use common::TestDir;
+
 /// One trained deployment shared by every test in this file (training
 /// dominates test runtime; the engines never mutate it).
 fn deployment() -> Arc<TrainedLorentz> {
@@ -31,14 +34,6 @@ fn deployment() -> Arc<TrainedLorentz> {
             Arc::new(trained)
         })
         .clone()
-}
-
-fn wal_path(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("lorentz-replication-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("signals.wal")
 }
 
 fn hot_path() -> ResourcePath {
@@ -79,7 +74,8 @@ fn assert_lambda_converged(follower: &FollowerEngine, leader_lambda: f64) {
 #[test]
 fn follower_converges_on_a_live_leader_wal() {
     let deployment = deployment();
-    let wal = wal_path("live");
+    let dir = TestDir::new("replication-live");
+    let wal = dir.join("signals.wal");
     let (leader, _responses) =
         ServingEngine::start_with_wal(Arc::clone(&deployment), ServeConfig::default(), &wal)
             .unwrap();
@@ -110,7 +106,8 @@ fn follower_converges_on_a_live_leader_wal() {
 #[test]
 fn torn_record_stalls_the_follower_until_the_leader_truncates() {
     let deployment = deployment();
-    let wal = wal_path("kill-mid-append");
+    let dir = TestDir::new("replication-kill-mid-append");
+    let wal = dir.join("signals.wal");
 
     // Round 1: a leader accepts two signals, then the process "dies" —
     // and the kill lands mid-append, leaving a torn third record.

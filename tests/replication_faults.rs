@@ -20,6 +20,9 @@ use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+mod common;
+use common::TestDir;
+
 fn deployment() -> Arc<TrainedLorentz> {
     static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
     DEPLOYMENT
@@ -52,9 +55,7 @@ fn signal(gamma: f64) -> SatisfactionSignal {
 
 #[test]
 fn torn_replication_send_is_survived_by_reconnect_and_resume() {
-    let dir = std::env::temp_dir().join(format!("lorentz-repl-fault-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("repl-fault");
     let wal = dir.join("leader.wal");
     let local = dir.join("replica.wal");
 

@@ -18,6 +18,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+mod common;
+use common::TestDir;
+
 /// One trained deployment shared by every engine test (training dominates
 /// test runtime; the engine itself never mutates it).
 fn deployment() -> Arc<TrainedLorentz> {
@@ -351,12 +354,8 @@ fn feedback_shifts_recommendations_without_model_reload() {
 fn feedback_wal_replays_lambda_on_restart() {
     let deployment = deployment();
     let hot = registered_path(&deployment);
-    let wal_path = std::env::temp_dir().join(format!(
-        "lorentz-serve-wal-{}-{:?}.log",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&wal_path);
+    let dir = TestDir::new("serve-wal");
+    let wal_path = dir.join("signals.wal");
 
     let signal = SatisfactionSignal::new(hot, ServerOffering::GeneralPurpose, 1.0).unwrap();
     let learned = {
@@ -394,7 +393,6 @@ fn feedback_wal_replays_lambda_on_restart() {
     );
     let stats = restarted.drain();
     assert_eq!(stats.feedback_accepted, 0);
-    let _ = std::fs::remove_file(&wal_path);
 }
 
 #[test]

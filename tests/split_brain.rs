@@ -23,6 +23,9 @@ use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+mod common;
+use common::TestDir;
+
 fn deployment() -> Arc<TrainedLorentz> {
     static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
     DEPLOYMENT
@@ -43,14 +46,6 @@ fn deployment() -> Arc<TrainedLorentz> {
             )
         })
         .clone()
-}
-
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("lorentz-split-brain-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn hot_path() -> ResourcePath {
@@ -83,7 +78,7 @@ fn wait_until(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
 
 #[test]
 fn healed_partition_fences_the_old_leader_leaving_exactly_one() {
-    let dir = scratch_dir("fence");
+    let dir = TestDir::new("split-brain-fence");
     let wal = dir.join("leader.wal");
     let (leader, _responses, repl) =
         ServingEngine::start_with_wal(deployment(), ServeConfig::default(), &wal)
@@ -235,7 +230,7 @@ fn healed_partition_fences_the_old_leader_leaving_exactly_one() {
 
 #[test]
 fn promoted_leader_observing_a_higher_term_demotes_but_keeps_reads() {
-    let dir = scratch_dir("demote");
+    let dir = TestDir::new("split-brain-demote");
     let wal = dir.join("leader.wal");
     let (leader, _responses, mut repl) =
         ServingEngine::start_with_wal(deployment(), ServeConfig::default(), &wal)

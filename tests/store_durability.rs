@@ -10,12 +10,8 @@ use lorentz::types::{FeatureId, ServerOffering, StoreCorruption, StoreKey, Value
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lorentz-durable-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::TestDir;
 
 fn sample_store(capacity: f64) -> PredictionStore {
     let mut store = PredictionStore::new();
@@ -61,18 +57,17 @@ fn assert_falls_back(durable: &DurableStore, check: impl Fn(&StoreCorruption) ->
 
 #[test]
 fn truncated_payload_falls_back() {
-    let dir = tmp_dir("truncated");
+    let dir = TestDir::new("durable-truncated");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
     assert_falls_back(&durable, |c| matches!(c, StoreCorruption::Truncated { .. }));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn truncation_into_the_header_falls_back() {
-    let dir = tmp_dir("header-truncated");
+    let dir = TestDir::new("durable-header-truncated");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let bytes = std::fs::read(&path).unwrap();
@@ -80,12 +75,11 @@ fn truncation_into_the_header_falls_back() {
     assert_falls_back(&durable, |c| {
         matches!(c, StoreCorruption::HeaderTruncated { got: 11, need: 20 })
     });
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn crc_mismatch_falls_back() {
-    let dir = tmp_dir("crc");
+    let dir = TestDir::new("durable-crc");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -95,12 +89,11 @@ fn crc_mismatch_falls_back() {
     assert_falls_back(&durable, |c| {
         matches!(c, StoreCorruption::ChecksumMismatch { .. })
     });
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bad_magic_falls_back() {
-    let dir = tmp_dir("magic");
+    let dir = TestDir::new("durable-magic");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -110,12 +103,11 @@ fn bad_magic_falls_back() {
         &durable,
         |c| matches!(c, StoreCorruption::BadMagic { found } if found == b"NOPE"),
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn unknown_format_version_falls_back() {
-    let dir = tmp_dir("version");
+    let dir = TestDir::new("durable-version");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -125,35 +117,32 @@ fn unknown_format_version_falls_back() {
     assert_falls_back(&durable, |c| {
         matches!(c, StoreCorruption::UnknownVersion(0xFFFF))
     });
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn manifest_pointing_at_missing_generation_falls_back() {
-    let dir = tmp_dir("missing-gen");
+    let dir = TestDir::new("durable-missing-gen");
     let durable = two_generations(&dir);
     std::fs::remove_file(gen_file(&dir, 2)).unwrap();
     assert_falls_back(&durable, |c| {
         matches!(c, StoreCorruption::MissingGeneration { generation: 2, .. })
     });
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn valid_payload_bytes_that_are_not_a_store_fall_back() {
-    let dir = tmp_dir("bad-payload");
+    let dir = TestDir::new("durable-bad-payload");
     let durable = two_generations(&dir);
     // A perfectly framed file whose payload is not a store snapshot: the
     // frame passes, deserialization must still be treated as corruption.
     let framed = lorentz::core::store::durability::frame_snapshot(b"{\"not\": \"a store\"}");
     std::fs::write(gen_file(&dir, 2), framed).unwrap();
     assert_falls_back(&durable, |c| matches!(c, StoreCorruption::BadPayload(_)));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupt_manifest_recovers_via_directory_scan() {
-    let dir = tmp_dir("bad-manifest");
+    let dir = TestDir::new("durable-bad-manifest");
     let durable = two_generations(&dir);
     std::fs::write(dir.join("store.manifest.json"), "{definitely not json").unwrap();
     let recovered = durable.load().expect("dir scan must recover");
@@ -167,12 +156,11 @@ fn corrupt_manifest_recovers_via_directory_scan() {
         "manifest corruption must be reported: {:?}",
         recovered.manifest_error
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn every_generation_corrupt_is_unrecoverable() {
-    let dir = tmp_dir("unrecoverable");
+    let dir = TestDir::new("durable-unrecoverable");
     let durable = two_generations(&dir);
     for generation in [1, 2] {
         std::fs::write(gen_file(&dir, generation), b"garbage").unwrap();
@@ -182,18 +170,16 @@ fn every_generation_corrupt_is_unrecoverable() {
         StoreError::Unrecoverable { attempts, .. } => assert_eq!(attempts, 2),
         other => panic!("expected Unrecoverable, got: {other}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn round_trip_preserves_store_contents() {
-    let dir = tmp_dir("round-trip");
+    let dir = TestDir::new("durable-round-trip");
     let durable = two_generations(&dir);
     let recovered = durable.load().unwrap();
     assert_eq!(recovered.generation, 2);
     assert_eq!(recovered.fallbacks, 0);
     assert_eq!(recovered.store, sample_store(8.0));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A [`SnapshotIo`] whose first N writes fail with `Interrupted` — the
@@ -233,14 +219,14 @@ impl SnapshotIo for FlakyIo {
 
 #[test]
 fn transient_write_errors_are_retried() {
-    let dir = tmp_dir("flaky");
+    let dir = TestDir::new("durable-flaky");
     let fast_retry = RetryPolicy {
         base_delay: std::time::Duration::from_micros(50),
         max_delay: std::time::Duration::from_micros(200),
         ..RetryPolicy::default()
     };
     let durable = DurableStore::with_io(
-        &dir,
+        &*dir,
         Box::new(FlakyIo {
             inner: RealIo,
             failures_left: AtomicU32::new(2),
@@ -251,14 +237,13 @@ fn transient_write_errors_are_retried() {
     let recovered = durable.load().unwrap();
     assert_eq!(recovered.generation, 1);
     assert_eq!(recovered.fallbacks, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn persistent_write_errors_surface_as_io_errors() {
-    let dir = tmp_dir("dead-disk");
+    let dir = TestDir::new("durable-dead-disk");
     let durable = DurableStore::with_io(
-        &dir,
+        &*dir,
         Box::new(FlakyIo {
             inner: RealIo,
             failures_left: AtomicU32::new(u32::MAX),
@@ -272,5 +257,4 @@ fn persistent_write_errors_surface_as_io_errors() {
     });
     let err = durable.save(&sample_store(4.0)).unwrap_err();
     assert!(matches!(err, StoreError::Io { .. }), "got: {err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,6 +21,9 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+mod common;
+use common::TestDir;
+
 fn deployment() -> Arc<TrainedLorentz> {
     static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
     DEPLOYMENT
@@ -41,13 +44,6 @@ fn deployment() -> Arc<TrainedLorentz> {
             )
         })
         .clone()
-}
-
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("lorentz-tcp-repl-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn hot_path() -> ResourcePath {
@@ -94,7 +90,7 @@ fn leader_lambda(leader: &ServingEngine) -> f64 {
 
 #[test]
 fn tcp_follower_serves_lambda_byte_identical_to_file_follower() {
-    let dir = scratch_dir("equivalence");
+    let dir = TestDir::new("tcp-repl-equivalence");
     let wal = dir.join("leader.wal");
     let (leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -134,7 +130,7 @@ fn tcp_follower_serves_lambda_byte_identical_to_file_follower() {
 
 #[test]
 fn restarted_tcp_follower_resumes_from_its_last_epoch() {
-    let dir = scratch_dir("resume");
+    let dir = TestDir::new("tcp-repl-resume");
     let wal = dir.join("leader.wal");
     let local = dir.join("replica.wal");
     let (leader, _responses, repl) = start_leader(&wal);
@@ -204,7 +200,7 @@ fn gapped_wal(dir: &std::path::Path) -> std::path::PathBuf {
 
 #[test]
 fn resume_from_a_present_epoch_replays_only_the_tail_across_gaps() {
-    let dir = scratch_dir("gaps");
+    let dir = TestDir::new("tcp-repl-gaps");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -231,7 +227,7 @@ fn resume_from_a_present_epoch_replays_only_the_tail_across_gaps() {
 
 #[test]
 fn resume_from_a_compacted_epoch_forces_a_full_resync() {
-    let dir = scratch_dir("compacted");
+    let dir = TestDir::new("tcp-repl-compacted");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -262,7 +258,7 @@ fn resume_from_a_compacted_epoch_forces_a_full_resync() {
 
 #[test]
 fn a_follower_ahead_of_the_leader_is_rejected_with_a_typed_error() {
-    let dir = scratch_dir("ahead");
+    let dir = TestDir::new("tcp-repl-ahead");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -278,7 +274,7 @@ fn a_follower_ahead_of_the_leader_is_rejected_with_a_typed_error() {
 
 #[test]
 fn mid_handshake_disconnects_leave_the_leader_serving() {
-    let dir = scratch_dir("disconnect");
+    let dir = TestDir::new("tcp-repl-disconnect");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr();
@@ -300,7 +296,7 @@ fn mid_handshake_disconnects_leave_the_leader_serving() {
 
 #[test]
 fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
-    let dir = scratch_dir("promotion");
+    let dir = TestDir::new("tcp-repl-promotion");
     let wal = dir.join("leader.wal");
     let (leader, _responses, mut repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();

@@ -11,14 +11,8 @@ use lorentz::types::{
 };
 use proptest::prelude::*;
 
-fn scratch(name: &str, case: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "lorentz-wal-term-props-{name}-{}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("case-{case}.wal"))
-}
+mod common;
+use common::TestDir;
 
 fn signal(gamma: f64) -> SatisfactionSignal {
     let path = ResourcePath::new(CustomerId(1), SubscriptionId(2), ResourceGroupId(3));
@@ -80,7 +74,6 @@ proptest! {
     #[test]
     fn recovery_reports_the_maxima(
         raw in collection::vec(0u8..3, 0..24),
-        case in any::<u64>(),
     ) {
         let script: Vec<Append> = raw
             .iter()
@@ -90,7 +83,8 @@ proptest! {
                 _ => Append::Legacy,
             })
             .collect();
-        let path = scratch("maxima", case);
+        let dir = TestDir::new("wal-term-maxima");
+        let path = dir.join("case.wal");
         let (want_term, want_epoch) = write_script(&path, &script);
 
         let (_wal, recovery) = SignalWal::open(&path).unwrap();
@@ -110,7 +104,6 @@ proptest! {
             report.records.iter().filter_map(|r| r.term).collect();
         prop_assert_eq!(verified_terms.len() as u64, want_term);
         prop_assert_eq!(verified_terms.iter().max().copied().unwrap_or(0), want_term);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Cutting the log anywhere strictly inside its final frame loses
@@ -120,7 +113,6 @@ proptest! {
     fn torn_final_frame_falls_back_to_the_intact_prefix(
         raw in collection::vec(0u8..3, 1..12),
         cut_seed in any::<u64>(),
-        case in any::<u64>(),
     ) {
         let script: Vec<Append> = raw
             .iter()
@@ -130,9 +122,10 @@ proptest! {
                 _ => Append::Legacy,
             })
             .collect();
-        let full = scratch("torn-full", case);
+        let dir = TestDir::new("wal-term-torn");
+        let full = dir.join("full.wal");
         write_script(&full, &script);
-        let prefix = scratch("torn-prefix", case);
+        let prefix = dir.join("prefix.wal");
         write_script(&prefix, &script[..script.len() - 1]);
 
         let full_len = std::fs::metadata(&full).unwrap().len();
@@ -142,7 +135,7 @@ proptest! {
         // of it so there is genuinely a torn tail to discard).
         let cut = prefix_len + 1 + cut_seed % (full_len - prefix_len - 1).max(1);
 
-        let torn = scratch("torn-cut", case);
+        let torn = dir.join("torn.wal");
         let mut bytes = std::fs::read(&full).unwrap();
         bytes.truncate(cut as usize);
         std::fs::write(&torn, &bytes).unwrap();
@@ -156,8 +149,5 @@ proptest! {
         // Reopening truncated the torn tail: the file now equals the
         // intact prefix byte for byte.
         prop_assert_eq!(std::fs::read(&torn).unwrap(), std::fs::read(&prefix).unwrap());
-        for p in [&full, &prefix, &torn] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 }
