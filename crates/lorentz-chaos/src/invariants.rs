@@ -435,7 +435,7 @@ mod tests {
     fn ledger_line_parses() {
         let stderr = vec![
             "following tcp://127.0.0.1:9 (caught up to epoch 4)".to_owned(),
-            "followed tcp://127.0.0.1:9: 7 deltas applied, 0 skipped, 0 legacy signals \
+            "followed tcp://127.0.0.1:9: 7 deltas applied, 0 skipped \
              (lambda v8, last epoch 8); served 0 requests, 0 feedback rejected \
              (read-only); state following, term 2, 1 duplicates"
                 .to_owned(),
@@ -450,13 +450,11 @@ mod tests {
 
     #[test]
     fn ledger_line_parses_demoted_state_with_embedded_terms() {
-        let stderr = vec![
-            "followed tcp://h:1: 3 deltas applied, 0 skipped, 0 legacy signals \
+        let stderr = vec!["followed tcp://h:1: 3 deltas applied, 0 skipped \
              (lambda v4, last epoch 4); served 1 requests, 2 feedback rejected \
              (read-only), 5 feedback applied (promoted leader); \
              state demoted (term 2 fenced by term 3), term 3, 0 duplicates"
-                .to_owned(),
-        ];
+            .to_owned()];
         let ledger = StandbyLedger::parse("s", &stderr).unwrap();
         assert_eq!(ledger.state, "demoted (term 2 fenced by term 3)");
         assert_eq!(ledger.term, 3);

@@ -83,18 +83,17 @@ USAGE:
                      feedback WAL to tcp:// followers, resuming each from its
                      last applied epoch — requires --feedback-wal)
   lorentz serve     --model model.json --requests requests.ndjson
-                    --follow file:PATH|tcp://HOST:PORT
+                    --follow tcp://HOST:PORT
                     [--kind hierarchical|target-encoding] [--replica-wal wal.log]
                     [--promote-listen ADDR] [--promote-after-ms N] [--await-promotion]
                     [--run-ms MS] [--json] [--metrics-out metrics.json]
-                    (replication follower: catches up on the leader's stream —
-                     file:PATH tails a shared-filesystem WAL, tcp://HOST:PORT
-                     subscribes to a leader's --replicate-listen — applies its
+                    (replication follower: subscribes to a leader's
+                     --replicate-listen — over loopback, tcp://127.0.0.1:PORT, on
+                     the leader's machine — catches up on its stream, applies its
                      λ deltas, then serves the requests from the replicated epochs;
                      feedback lines are rejected while following, only the leader
-                     mints epochs; a bare PATH still works as a deprecated alias
-                     for file:PATH. For tcp:// followers, --replica-wal persists
-                     received frames byte-identical to the leader's log so a
+                     mints epochs. --replica-wal persists received frames
+                     byte-identical to the leader's log before applying them, so a
                      restart resumes from the last epoch, and --promote-listen
                      arms promotion: after the leader stays unreachable for
                      --promote-after-ms (default 1000), the follower that binds
@@ -602,14 +601,7 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     let text = fs::read_to_string(requests_path).map_err(|e| CliError::io(requests_path, e))?;
     let lines = parse_serve_lines(&text, requests_path, deployment.profiles().schema())?;
     if let Some(spec) = args.get("follow") {
-        let (endpoint, deprecated) = Endpoint::parse_compat(spec)?;
-        if deprecated {
-            eprintln!(
-                "warning: bare-path --follow is deprecated; write --follow file:{spec} \
-                 (tcp://HOST:PORT subscribes to a leader's --replicate-listen)"
-            );
-        }
-        return serve_follow(args, deployment, lines, kind, &endpoint);
+        return serve_follow(args, deployment, lines, kind, &Endpoint::parse(spec)?);
     }
     let total = lines
         .iter()
@@ -723,11 +715,7 @@ fn serve_listen(
     let _replication = match args.get("replicate-listen") {
         Some(spec) => {
             let endpoint = Endpoint::parse(spec)?;
-            let repl_addr = endpoint.as_tcp().ok_or_else(|| {
-                CliError::Usage(format!(
-                    "--replicate-listen must be a tcp://HOST:PORT endpoint, got '{endpoint}'"
-                ))
-            })?;
+            let repl_addr = endpoint.as_tcp();
             let repl_listener =
                 std::net::TcpListener::bind(repl_addr).map_err(|e| CliError::io(repl_addr, e))?;
             let repl = serve_replication(&engine, repl_listener, ReplicationConfig::default())
@@ -835,13 +823,13 @@ fn serve_listen(
 }
 
 /// `lorentz serve --follow`: run the replication follower against a
-/// `file:PATH` or `tcp://HOST:PORT` endpoint. The follower catches up on
-/// the leader's stream before serving (so the first answer already
+/// leader's `tcp://HOST:PORT` replication listener. The follower catches
+/// up on the leader's stream before serving (so the first answer already
 /// reflects every durable signal), applies λ deltas as they arrive, and
 /// serves requests from the replicated epochs. Feedback lines are
 /// rejected while following — only the leader mints epochs — but accepted
-/// after a promotion (`--promote-listen`, TCP followers only) flips this
-/// replica into a serving leader.
+/// after a promotion (`--promote-listen`) flips this replica into a
+/// serving leader.
 fn serve_follow(
     args: &Args,
     deployment: Arc<TrainedLorentz>,
@@ -870,10 +858,7 @@ fn serve_follow(
             ..PromoteConfig::new(wal)
         });
     }
-    let follower = match endpoint {
-        Endpoint::File(path) => FollowerEngine::start(deployment, path, config)?,
-        Endpoint::Tcp(addr) => FollowerEngine::start_tcp(deployment, addr, config)?,
-    };
+    let follower = FollowerEngine::start_tcp(deployment, endpoint.as_tcp(), config)?;
     // Catch-up is complete: harnesses sequencing a leader kill can wait
     // for this line.
     eprintln!(
@@ -967,11 +952,11 @@ fn serve_follow(
         String::new()
     };
     eprintln!(
-        "followed {endpoint}: {} deltas applied, {} skipped, {} legacy signals \
+        "followed {endpoint}: {} deltas applied, {} skipped \
          (lambda v{lambda_version}, last epoch {}); served {served} requests, \
          {feedback_rejected} feedback rejected (read-only){applied_note}; \
          state {state_label}, term {term}, {} duplicates",
-        stats.applied, stats.skipped, stats.legacy, stats.last_epoch, stats.duplicates
+        stats.applied, stats.skipped, stats.last_epoch, stats.duplicates
     );
     write_metrics(args)
 }
@@ -984,16 +969,13 @@ pub fn wal_verify(args: &Args) -> Result<(), CliError> {
     let wal_path = args.require("wal")?;
     let report = lorentz_core::SignalWal::verify(wal_path)?;
     for r in &report.records {
-        match (&r.signal, r.term) {
-            (Some(s), _) => {
-                let framing = match r.epoch {
-                    Some(epoch) => format!("epoch {epoch}, {} delta keys", r.delta_keys),
-                    None => "legacy bare signal".to_owned(),
-                };
+        match (&r.signal, r.epoch, r.term) {
+            (Some(s), Some(epoch), _) => {
                 println!(
-                    "record {} @ {}: OK — {framing}; signal {}|{}|{} {} γ{:+}",
+                    "record {} @ {}: OK — epoch {epoch}, {} delta keys; signal {}|{}|{} {} γ{:+}",
                     r.index,
                     r.offset,
+                    r.delta_keys,
                     s.path.customer.0,
                     s.path.subscription.0,
                     s.path.resource_group.0,
@@ -1001,15 +983,13 @@ pub fn wal_verify(args: &Args) -> Result<(), CliError> {
                     s.gamma
                 );
             }
-            (None, Some(term)) => {
+            (_, _, Some(term)) => {
                 println!(
                     "record {} @ {}: OK — term marker (leader term {term})",
                     r.index, r.offset
                 );
             }
-            (None, None) => {
-                println!("record {} @ {}: OK — empty record", r.index, r.offset);
-            }
+            _ => println!("record {} @ {}: OK — empty record", r.index, r.offset),
         }
     }
     // The resume position a follower would hand the leader on reconnect.
@@ -1612,20 +1592,24 @@ mod tests {
         assert!(recovery.signals.iter().all(|s| s.path == hot));
         assert_eq!(recovery.last_epoch, 3, "seed epoch 1 + two delta publishes");
 
-        // wal-verify reports every record intact; a follower catches up on
-        // the same WAL and serves from the replicated epochs.
+        // wal-verify reports every record intact; a follower subscribes
+        // over TCP only, so a WAL path as --follow is refused, naming the
+        // endpoint form.
         wal_verify(&args(&["wal-verify", "--wal", &wal_path])).unwrap();
         assert!(wal_verify(&args(&["wal-verify"])).is_err()); // missing --wal
-        serve(&args(&[
-            "serve",
-            "--model",
-            &model_path,
-            "--requests",
-            &stream_path,
-            "--follow",
-            &wal_path,
-        ]))
-        .unwrap();
+        for follow in [wal_path.clone(), format!("file:{wal_path}")] {
+            let err = serve(&args(&[
+                "serve",
+                "--model",
+                &model_path,
+                "--requests",
+                &stream_path,
+                "--follow",
+                &follow,
+            ]))
+            .unwrap_err();
+            assert!(err.to_string().contains("tcp://HOST:PORT"), "{err}");
+        }
 
         for p in [
             &fleet_path,

@@ -12,7 +12,7 @@
 //! lorentz serve     --model model.json --requests requests.ndjson \
 //!                   [--workers 4] [--queue-capacity 1024] [--degraded-at N] \
 //!                   [--deadline-ms N] [--feedback-wal wal.log] \
-//!                   [--follow file:PATH|tcp://HOST:PORT] [--replica-wal wal.log] \
+//!                   [--follow tcp://HOST:PORT] [--replica-wal wal.log] \
 //!                   [--promote-listen ADDR] [--json] [--metrics-out metrics.json]
 //! lorentz serve     --model model.json --listen 127.0.0.1:0 [--shards 8] \
 //!                   [--workers 4] [--queue-capacity 1024] [--max-frame-len BYTES] \

@@ -50,7 +50,7 @@ pub use fleet::FleetDataset;
 pub use personalizer::{
     LambdaEpoch, LambdaSnapshot, LambdaStore, Personalizer, PersonalizerConfig, PollBackoff,
     SatisfactionSignal, ShardedLambdaStore, SignalWal, TermRecord, WalEntry, WalRecord,
-    WalRecovery, WalReplay, WalTailer, WalVerifyReport,
+    WalRecovery, WalReplay, WalVerifyReport,
 };
 pub use pipeline::{
     LiveModel, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest, StoreOnly,

@@ -17,7 +17,7 @@ pub use sharded::ShardedLambdaStore;
 pub use signals::{classify_ticket, CriTicket, KeywordClassifier};
 pub use wal::{
     frame_record, wal_codec, PollBackoff, SignalWal, TermRecord, WalEntry, WalRecord, WalRecovery,
-    WalReplay, WalTailer, WalVerifyReport,
+    WalReplay, WalVerifyReport,
 };
 
 use crate::obs;

@@ -4,10 +4,9 @@
 //! survive a crash. [`SignalWal`] appends every accepted signal as a
 //! CRC-framed record *before* the epoch is published, and replays the log
 //! on startup so a restarted server rebuilds exactly the λ state it lost.
-//! Since the epoch/delta refactor each record also carries the
-//! epoch-stamped [`LambdaDelta`] the signal produced ([`WalRecord`]), so
-//! the same log doubles as the replication stream a
-//! [`WalTailer`]-driven follower applies without re-running propagation.
+//! Each record also carries the epoch-stamped [`LambdaDelta`] the signal
+//! produced ([`WalRecord`]), so the same log doubles as the replication
+//! stream a follower applies without re-running propagation.
 //!
 //! Each record is framed independently (unlike the whole-file snapshot
 //! frames of [`store::durability`](crate::store::durability), the WAL
@@ -17,11 +16,10 @@
 //! [4 magic "LSIG"] [4 payload len u32 LE] [4 payload CRC32C u32 LE] [payload]
 //! ```
 //!
-//! The payload is JSON: a bare [`SatisfactionSignal`] (the legacy
-//! format, still replayed), a [`WalRecord`] `{signal, delta}` object, or
-//! a [`TermRecord`] `{leader_term}` marker appended whenever a process
-//! mints a new leader term (logs written before fencing existed carry no
-//! markers and recover as term 0).
+//! The payload is JSON: a [`WalRecord`] `{signal, delta}` object, or a
+//! [`TermRecord`] `{leader_term}` marker appended whenever a process mints
+//! a new leader term (a log with no markers recovers as term 0). Any other
+//! payload is [`StoreCorruption::BadPayload`].
 //! Appends are `write_all` + `fsync` under [`retry_with_backoff`], so
 //! transient I/O failures retry and permanent ones surface. A crash
 //! mid-append leaves a torn final record; replay verifies each frame's
@@ -91,12 +89,9 @@ pub struct TermRecord {
     pub leader_term: u64,
 }
 
-/// One intact record read back from a log, any format.
+/// One intact record read back from a log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
-    /// A legacy bare-signal record (pre-delta format): replayable through
-    /// propagation, but carrying no epoch for a follower.
-    Signal(SatisfactionSignal),
     /// A delta-framed [`WalRecord`].
     Record(WalRecord),
     /// A leader-term marker ([`TermRecord`]).
@@ -107,7 +102,6 @@ impl WalEntry {
     /// The signal this entry carries, `None` for a term marker.
     pub fn signal(&self) -> Option<&SatisfactionSignal> {
         match self {
-            WalEntry::Signal(s) => Some(s),
             WalEntry::Record(r) => Some(&r.signal),
             WalEntry::Term(_) => None,
         }
@@ -117,7 +111,7 @@ impl WalEntry {
     pub fn epoch(&self) -> Option<u64> {
         match self {
             WalEntry::Record(r) => Some(r.delta.epoch),
-            WalEntry::Signal(_) | WalEntry::Term(_) => None,
+            WalEntry::Term(_) => None,
         }
     }
 
@@ -125,7 +119,7 @@ impl WalEntry {
     pub fn term(&self) -> Option<u64> {
         match self {
             WalEntry::Term(t) => Some(*t),
-            WalEntry::Signal(_) | WalEntry::Record(_) => None,
+            WalEntry::Record(_) => None,
         }
     }
 }
@@ -135,13 +129,13 @@ impl WalEntry {
 pub struct WalRecovery {
     /// Every intact signal, in append order — apply these before serving.
     pub signals: Vec<SatisfactionSignal>,
-    /// The highest delta epoch among intact records (0 when the log is
-    /// empty or all-legacy). After replaying, fast-forward the λ store to
-    /// at least this epoch so new appends continue the on-disk numbering.
+    /// The highest delta epoch among intact records (0 when the log holds
+    /// none). After replaying, fast-forward the λ store to at least this
+    /// epoch so new appends continue the on-disk numbering.
     pub last_epoch: u64,
     /// The highest leader term among intact [`TermRecord`] markers (0 for
-    /// a log written before fencing existed). A restarting leader resumes
-    /// this term; a promotion mints a strictly higher one.
+    /// a log with no markers). A restarting leader resumes this term; a
+    /// promotion mints a strictly higher one.
     pub last_term: u64,
     /// Bytes discarded from a torn final record (0 for a clean log).
     pub torn_tail_bytes: usize,
@@ -255,7 +249,7 @@ impl SignalWal {
                         term: entry.term(),
                         delta_keys: match &entry {
                             WalEntry::Record(r) => r.delta.entries.len(),
-                            WalEntry::Signal(_) | WalEntry::Term(_) => 0,
+                            WalEntry::Term(_) => 0,
                         },
                         signal: entry.signal().copied(),
                     });
@@ -286,19 +280,6 @@ impl SignalWal {
     pub fn append_record(&mut self, record: &WalRecord) -> Result<(), StoreError> {
         let payload =
             serde_json::to_string(record).map_err(|e| StoreError::Serialize(format!("{e}")))?;
-        self.append_payload(payload.as_bytes())
-    }
-
-    /// Appends one bare signal durably (the legacy record format, kept
-    /// for writers that have no λ store to produce deltas from, e.g. the
-    /// offline `lorentz feedback` tool).
-    ///
-    /// # Errors
-    /// Returns [`StoreError::Serialize`] when the signal cannot be
-    /// encoded and [`StoreError::Io`] when the write fails permanently.
-    pub fn append(&mut self, signal: &SatisfactionSignal) -> Result<(), StoreError> {
-        let payload =
-            serde_json::to_string(signal).map_err(|e| StoreError::Serialize(format!("{e}")))?;
         self.append_payload(payload.as_bytes())
     }
 
@@ -382,11 +363,11 @@ impl SignalWal {
     /// always names a record it applied *from this log* (epochs are minted
     /// by one global counter and the log is append-only), so the cursor
     /// finds the record carrying that epoch and replays everything after
-    /// it — including legacy bare-signal frames, which carry no epoch but
-    /// still belong to the stream. When `last_epoch > 0` and no record
-    /// carries it, the log has been compacted/rotated past the follower's
-    /// position: the whole log is returned with `full_resync = true`, and
-    /// the follower must reset its λ-state before applying.
+    /// it — including term markers, which carry no epoch but still belong
+    /// to the stream. When `last_epoch > 0` and no record carries it, the
+    /// log has been compacted/rotated past the follower's position: the
+    /// whole log is returned with `full_resync = true`, and the follower
+    /// must reset its λ-state before applying.
     ///
     /// A torn/corrupt tail ends the cursor at the last good boundary,
     /// matching every other reader of the log.
@@ -444,7 +425,7 @@ pub struct WalReplay {
     /// λ-state before applying.
     pub full_resync: bool,
     /// The highest delta epoch among the log's intact records (0 when the
-    /// log is empty or all-legacy).
+    /// log holds none).
     pub log_last_epoch: u64,
 }
 
@@ -544,8 +525,7 @@ pub struct WalRecordSummary {
     pub index: usize,
     /// Byte offset of the record's frame.
     pub offset: u64,
-    /// The delta epoch, `None` for a legacy bare-signal record or a term
-    /// marker.
+    /// The delta epoch, `None` for a term marker.
     pub epoch: Option<u64>,
     /// The minted leader term, `Some` only for a term marker.
     pub term: Option<u64>,
@@ -553,71 +533,6 @@ pub struct WalRecordSummary {
     pub delta_keys: usize,
     /// The signal the record carries, `None` for a term marker.
     pub signal: Option<SatisfactionSignal>,
-}
-
-/// A poll-based reader that follows a leader's log as it grows — the
-/// file-tail transport behind
-/// [`FollowerEngine`](../../lorentz-serve) replication. The interface is
-/// transport-shaped (each poll yields the next complete entries), so a
-/// socket-fed implementation can replace the file read without changing
-/// the follower.
-///
-/// The tailer never truncates: a torn or corrupt tail simply ends the
-/// poll at the last good boundary, and the next poll re-reads from there
-/// — after the leader restarts (truncating the tear) and appends, the
-/// same offset yields the fresh records.
-#[derive(Debug, Clone)]
-pub struct WalTailer {
-    path: PathBuf,
-    offset: u64,
-}
-
-impl WalTailer {
-    /// Creates a tailer at the start of `path` (which may not exist yet —
-    /// polls return nothing until the leader creates it).
-    pub fn new(path: impl AsRef<Path>) -> Self {
-        Self {
-            path: path.as_ref().to_path_buf(),
-            offset: 0,
-        }
-    }
-
-    /// The byte offset of the next unread record.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Reads every complete record appended since the last poll. A
-    /// missing file yields an empty batch; a torn/corrupt tail ends the
-    /// batch at the last good boundary without consuming it. If the file
-    /// shrank below the tailer's offset (the log was replaced), the
-    /// tailer restarts from the beginning — epoch monotonicity on the
-    /// applying store makes re-reads harmless.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::Io`] when the file exists but cannot be
-    /// read.
-    pub fn poll(&mut self) -> Result<Vec<WalEntry>, StoreError> {
-        let io_err = |source: io::Error| StoreError::Io {
-            path: self.path.display().to_string(),
-            source,
-        };
-        let mut file = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(io_err(e)),
-        };
-        let len = file.metadata().map_err(&io_err)?.len();
-        if len < self.offset {
-            self.offset = 0;
-        }
-        file.seek(SeekFrom::Start(self.offset)).map_err(&io_err)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(&io_err)?;
-        let (entries, good_len) = parse_frames(&bytes);
-        self.offset += good_len as u64;
-        Ok(entries)
-    }
 }
 
 /// Builds the framed bytes for one record payload via the shared
@@ -645,18 +560,14 @@ fn parse_entry(payload: &[u8]) -> Result<WalEntry, StoreCorruption> {
             "payload is not UTF-8".to_owned(),
         ));
     };
-    // Delta-framed first, then term markers, legacy bare signal as the
-    // fallback — the three JSON shapes share no fields, so the match is
-    // unambiguous.
-    if let Ok(record) = serde_json::from_str::<WalRecord>(text) {
-        return Ok(WalEntry::Record(record));
-    }
-    if let Ok(term) = serde_json::from_str::<TermRecord>(text) {
-        return Ok(WalEntry::Term(term.leader_term));
-    }
-    match serde_json::from_str::<SatisfactionSignal>(text) {
-        Ok(signal) => Ok(WalEntry::Signal(signal)),
-        Err(e) => Err(StoreCorruption::BadPayload(format!("{e}"))),
+    // Delta-framed first (nearly every record), then term markers — the
+    // two JSON shapes share no fields, so the match is unambiguous.
+    match serde_json::from_str::<WalRecord>(text) {
+        Ok(record) => Ok(WalEntry::Record(record)),
+        Err(e) => match serde_json::from_str::<TermRecord>(text) {
+            Ok(term) => Ok(WalEntry::Term(term.leader_term)),
+            Err(_) => Err(StoreCorruption::BadPayload(format!("{e}"))),
+        },
     }
 }
 
@@ -806,15 +717,16 @@ mod tests {
     #[test]
     fn append_and_replay_round_trips() {
         let (path, mut wal) = fresh_wal("round-trip");
-        let signals = vec![signal(1, 1.0), signal(2, -0.5), signal(3, 0.25)];
-        for s in &signals {
-            wal.append(s).unwrap();
+        let records = [record(1, 1.0, 2), record(2, -0.5, 3), record(3, 0.25, 4)];
+        for r in &records {
+            wal.append_record(r).unwrap();
         }
         drop(wal);
         let (_wal, recovery) = reopen(&path);
+        let signals: Vec<_> = records.iter().map(|r| r.signal).collect();
         assert_eq!(recovery.signals, signals);
-        assert_eq!(recovery.last_epoch, 0); // all-legacy log
-        assert_eq!(recovery.last_term, 0); // no term markers either
+        assert_eq!(recovery.last_epoch, 4);
+        assert_eq!(recovery.last_term, 0); // no term markers: term 0
         assert_eq!(recovery.torn_tail_bytes, 0);
     }
 
@@ -854,20 +766,15 @@ mod tests {
         let (path, mut wal) = fresh_wal("records");
         wal.append_record(&record(1, 1.0, 2)).unwrap();
         wal.append_record(&record(2, -0.5, 3)).unwrap();
-        // Mixed log: a legacy bare signal still replays.
-        wal.append(&signal(3, 0.25)).unwrap();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
-        assert_eq!(
-            recovery.signals,
-            vec![signal(1, 1.0), signal(2, -0.5), signal(3, 0.25)]
-        );
+        assert_eq!(recovery.signals, vec![signal(1, 1.0), signal(2, -0.5)]);
         assert_eq!(recovery.last_epoch, 3);
         let report = SignalWal::verify(&path).unwrap();
-        assert_eq!(report.records.len(), 3);
+        assert_eq!(report.records.len(), 2);
         assert_eq!(report.records[0].epoch, Some(2));
         assert_eq!(report.records[0].delta_keys, 1);
-        assert_eq!(report.records[2].epoch, None);
+        assert_eq!(report.records[1].epoch, Some(3));
         assert!(report.corrupt.is_none());
         assert_eq!(report.trailing_bytes, 0);
     }
@@ -875,8 +782,8 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_reported() {
         let (path, mut wal) = fresh_wal("torn-tail");
-        wal.append(&signal(1, 1.0)).unwrap();
-        wal.append(&signal(2, -1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
+        wal.append_record(&record(2, -1.0, 3)).unwrap();
         drop(wal);
         // Tear the final record in half, as a kill mid-append would.
         let bytes = std::fs::read(&path).unwrap();
@@ -887,7 +794,7 @@ mod tests {
         assert_eq!(recovery.signals, vec![signal(1, 1.0)]);
         assert!(recovery.torn_tail_bytes > 0);
         // The tail was truncated, so new appends land on a clean boundary.
-        wal.append(&signal(3, 0.5)).unwrap();
+        wal.append_record(&record(3, 0.5, 4)).unwrap();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, vec![signal(1, 1.0), signal(3, 0.5)]);
@@ -897,8 +804,8 @@ mod tests {
     #[test]
     fn corrupt_crc_ends_the_replay() {
         let (path, mut wal) = fresh_wal("bad-crc");
-        wal.append(&signal(1, 1.0)).unwrap();
-        wal.append(&signal(2, 1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
+        wal.append_record(&record(2, 1.0, 3)).unwrap();
         drop(wal);
         // Flip a bit in the second record's payload.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -931,80 +838,38 @@ mod tests {
         let (mut wal, recovery) = reopen(&path);
         assert!(recovery.signals.is_empty());
         assert!(recovery.torn_tail_bytes > 0);
-        wal.append(&signal(4, 1.0)).unwrap();
+        wal.append_record(&record(4, 1.0, 2)).unwrap();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, vec![signal(4, 1.0)]);
     }
 
+    /// Frames whose payload the log cannot read end every walk with
+    /// `BadPayload` at their offset: a header declaring more than the
+    /// record cap, and a bare signal with a valid CRC — a payload that is
+    /// neither a delta record nor a term marker.
     #[test]
     fn oversized_declared_length_is_rejected() {
         let (path, wal) = fresh_wal("oversized");
         drop(wal);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        frame.extend_from_slice(b"xxxx");
-        std::fs::write(&path, &frame).unwrap();
-        let (_wal, recovery) = reopen(&path);
-        assert!(recovery.signals.is_empty());
-        assert_eq!(recovery.torn_tail_bytes, frame.len());
-    }
-
-    #[test]
-    fn tailer_follows_appends_and_stalls_on_torn_tail() {
-        let (path, mut wal) = fresh_wal("tailer");
-        let mut tailer = WalTailer::new(&path);
-        assert!(tailer.poll().unwrap().is_empty());
-
-        wal.append_record(&record(1, 1.0, 2)).unwrap();
-        let batch = tailer.poll().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].epoch(), Some(2));
-        assert!(tailer.poll().unwrap().is_empty(), "nothing new to read");
-
-        // A torn append after one good record: the tailer takes the good
-        // record and stops at the tear without consuming it.
-        wal.append_record(&record(2, 0.5, 3)).unwrap();
-        drop(wal);
-        let full = std::fs::read(&path).unwrap();
-        let mut torn = full.clone();
-        torn.extend_from_slice(&MAGIC);
-        torn.extend_from_slice(&[9, 0, 0]); // half a length field
-        std::fs::write(&path, &torn).unwrap();
-        let batch = tailer.poll().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].epoch(), Some(3));
-        let stalled_at = tailer.offset();
-        assert!(tailer.poll().unwrap().is_empty());
-        assert_eq!(tailer.offset(), stalled_at);
-
-        // Leader reopens (truncating the tear) and appends: the tailer
-        // resumes from the same boundary and converges.
-        let (mut wal, recovery) = reopen(&path);
-        assert!(recovery.torn_tail_bytes > 0);
-        wal.append_record(&record(3, -1.0, 4)).unwrap();
-        let batch = tailer.poll().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].epoch(), Some(4));
-    }
-
-    #[test]
-    fn tailer_restarts_when_the_log_shrinks() {
-        let (path, mut wal) = fresh_wal("tailer-shrink");
-        wal.append_record(&record(1, 1.0, 2)).unwrap();
-        wal.append_record(&record(2, 0.5, 3)).unwrap();
-        let mut tailer = WalTailer::new(&path);
-        assert_eq!(tailer.poll().unwrap().len(), 2);
-        // Replace the log with a shorter one.
-        drop(wal);
-        std::fs::remove_file(&path).unwrap();
-        let (mut wal, _) = reopen(&path);
-        wal.append_record(&record(9, 1.0, 5)).unwrap();
-        let batch = tailer.poll().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].epoch(), Some(5));
+        let mut oversized = Vec::new();
+        oversized.extend_from_slice(&MAGIC);
+        oversized.extend_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        oversized.extend_from_slice(&0u32.to_le_bytes());
+        oversized.extend_from_slice(b"xxxx");
+        let bare_signal = frame_payload(serde_json::to_string(&signal(2, 1.0)).unwrap().as_bytes());
+        let good = frame_record(&record(1, 1.0, 2)).unwrap();
+        for (prefix, bad) in [(Vec::new(), oversized), (good, bare_signal)] {
+            std::fs::write(&path, [prefix.as_slice(), &bad].concat()).unwrap();
+            let report = SignalWal::verify(&path).unwrap();
+            assert!(matches!(
+                report.corrupt,
+                Some((offset, StoreCorruption::BadPayload(_))) if offset == prefix.len() as u64
+            ));
+            let (_wal, recovery) = reopen(&path);
+            assert_eq!(recovery.signals.len(), usize::from(!prefix.is_empty()));
+            assert_eq!(recovery.torn_tail_bytes, bad.len());
+        }
     }
 
     #[test]
@@ -1021,7 +886,7 @@ mod tests {
         let (path, mut wal) = fresh_wal("replay-from");
         wal.append_record(&record(1, 1.0, 2)).unwrap();
         wal.append_record(&record(2, 0.5, 3)).unwrap();
-        wal.append(&signal(3, 0.25)).unwrap(); // legacy, no epoch
+        wal.append_term(2).unwrap(); // a marker carries no epoch
         wal.append_record(&record(4, -0.5, 7)).unwrap(); // epoch jump
         drop(wal);
 
@@ -1031,7 +896,7 @@ mod tests {
         assert!(!replay.full_resync);
         assert_eq!(replay.log_last_epoch, 7);
 
-        // From epoch 3: the legacy record and the epoch-7 record follow.
+        // From epoch 3: the term marker and the epoch-7 record follow.
         let replay = SignalWal::replay_from(&path, 3).unwrap();
         assert_eq!(replay.frames.len(), 2);
         assert!(!replay.full_resync);
@@ -1124,7 +989,7 @@ mod tests {
             lorentz_fault::Trigger::Once,
             lorentz_fault::FailAction::Interrupted,
         );
-        wal.append(&signal(1, 1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
         lorentz_fault::registry().clear();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
@@ -1140,7 +1005,7 @@ mod tests {
             lorentz_fault::Trigger::Always,
             lorentz_fault::FailAction::Error,
         );
-        let err = wal.append(&signal(1, 1.0)).unwrap_err();
+        let err = wal.append_record(&record(1, 1.0, 2)).unwrap_err();
         lorentz_fault::registry().clear();
         assert!(matches!(err, StoreError::Io { .. }));
     }
@@ -1149,13 +1014,13 @@ mod tests {
     #[test]
     fn flipped_bit_appends_are_caught_on_replay() {
         let (path, mut wal) = fresh_wal("flip");
-        wal.append(&signal(1, 1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
         lorentz_fault::registry().configure(
             "personalizer.wal.append",
             lorentz_fault::Trigger::Once,
             lorentz_fault::FailAction::FlipBit(100),
         );
-        wal.append(&signal(2, 1.0)).unwrap();
+        wal.append_record(&record(2, 1.0, 3)).unwrap();
         lorentz_fault::registry().clear();
         drop(wal);
         let (_wal, recovery) = reopen(&path);

@@ -186,23 +186,7 @@ impl LorentzPipeline {
     /// Returns [`LorentzError`] if the fleet is empty, contains an offering
     /// without a catalog, or any stage fails to fit.
     pub fn train(self, fleet: &FleetDataset) -> Result<TrainedLorentz, LorentzError> {
-        self.train_with_stage2_threads(fleet, 0)
-    }
-
-    /// Like [`LorentzPipeline::train`], but caps the number of concurrent
-    /// Stage-2 worker threads (`0` = one thread per offering). Training is
-    /// deterministic regardless of the cap — worker results are always
-    /// joined in job order — so any thread count publishes a byte-identical
-    /// store snapshot.
-    ///
-    /// # Errors
-    /// See [`LorentzPipeline::train`].
-    pub fn train_with_stage2_threads(
-        self,
-        fleet: &FleetDataset,
-        max_threads: usize,
-    ) -> Result<TrainedLorentz, LorentzError> {
-        self.train_with_threads(fleet, 0, max_threads)
+        self.train_with_threads(fleet, 0, 0)
     }
 
     /// Like [`LorentzPipeline::train`], but caps both stage thread pools:
@@ -219,10 +203,9 @@ impl LorentzPipeline {
         stage1_threads: usize,
         stage2_threads: usize,
     ) -> Result<TrainedLorentz, LorentzError> {
-        let max_threads = stage2_threads;
         let ctx = TrainContext::new(&self.config, &self.catalogs, fleet)?;
         let (outcomes, labels) = stages::rightsize_fleet(&ctx, stage1_threads)?;
-        let (models, batch) = stages::train_offerings(&ctx, &labels, max_threads)?;
+        let (models, batch) = stages::train_offerings(&ctx, &labels, stage2_threads)?;
         let store = stages::publish_store(batch)?;
         let personalizer = stages::init_personalizer(&ctx)?;
         let rightsizer = ctx.into_rightsizer();

@@ -1,15 +1,13 @@
-//! The replication follower: file- or TCP-fed read replica, with
-//! promotion.
+//! The replication follower: TCP-fed read replica, with promotion.
 //!
 //! A leader running [`ServingEngine::start_with_wal`](crate::ServingEngine)
 //! frames every accepted satisfaction signal together with the
 //! epoch-stamped λ delta it published. [`FollowerEngine`] consumes that
-//! stream through a [`ReplicationSource`] — [`FileSource`] tails the
-//! leader's WAL through the filesystem (same-machine standby),
-//! [`TcpSource`] subscribes to the leader's replication listener over a
-//! socket (two-machine standby) — and applies the deltas to its own
-//! [`LambdaStore`]: no propagation re-run, no full-table transfer, so
-//! either transport converges to the leader's published λ bit-for-bit.
+//! stream through a [`ReplicationSource`] — in deployment a [`TcpSource`]
+//! subscribed to the leader's replication listener (over loopback for a
+//! standby on the leader's machine) — and applies the deltas to its own
+//! [`LambdaStore`]: no propagation re-run, no full-table transfer, so the
+//! replica converges to the leader's published λ bit-for-bit.
 //!
 //! While following, the replica is **read-only by construction**: only
 //! the leader mints epochs; the follower replays them. Startup is
@@ -17,17 +15,19 @@
 //! end before returning, so the first recommendation already reflects
 //! every durable signal.
 //!
-//! A TCP follower configured with [`FollowerConfig::local_wal`] persists
-//! each received frame verbatim (the frames are byte-identical to the
-//! leader's log, CRC and all), so a restarted follower replays its local
-//! log and resumes the subscription *from its last epoch* instead of
-//! re-reading the leader's entire WAL. A leader that has compacted past
-//! that epoch answers the handshake with full-resync; the follower then
-//! truncates its local log, resets its λ-state, and applies the fresh
-//! stream.
+//! A follower configured with [`FollowerConfig::local_wal`] persists each
+//! received frame verbatim (the frames are byte-identical to the leader's
+//! log, CRC and all) *before* applying it, so a restarted follower replays
+//! its local log and resumes the subscription *from its last epoch*
+//! instead of re-reading the leader's entire WAL. A leader that has
+//! compacted past that epoch answers the handshake with full-resync; the
+//! follower then truncates its local log, resets its λ-state, and applies
+//! the fresh stream. A local WAL that cannot be written is fail-stop: the
+//! follower applies nothing more and halts ([`ReplicaState::Halted`]),
+//! still serving the last epoch that is both applied and persisted.
 //!
-//! **Promotion**: with [`FollowerConfig::promote`] set, a TCP follower
-//! that loses its leader for longer than
+//! **Promotion**: with [`FollowerConfig::promote`] set, a follower that
+//! loses its leader for longer than
 //! [`PromoteConfig::detection_timeout`] promotes itself — it finishes
 //! applying whatever was buffered, opens its local WAL as a real
 //! [`ServingEngine`](crate::ServingEngine) (replaying it, so the promoted
@@ -52,19 +52,19 @@
 
 use crate::engine::ServingEngine;
 use crate::replication::{
-    serve_replication, FileSource, ReplicationConfig, ReplicationError, ReplicationListener,
-    ReplicationSource, SourcePoll, SourcedEntry, TcpSource,
+    serve_replication, ReplicationConfig, ReplicationError, ReplicationListener, ReplicationSource,
+    SourcePoll, SourcedEntry, TcpSource,
 };
 use crate::types::{EngineError, ServeConfig, ServeError, ServeRequest, ServeResponse};
 use lorentz_core::obs;
-use lorentz_core::personalizer::{LambdaSnapshot, LambdaStore, PollBackoff, WalEntry, WalTailer};
+use lorentz_core::personalizer::{wal, LambdaSnapshot, LambdaStore, PollBackoff, WalEntry};
 use lorentz_core::{
     ModelKind, RecommendEngine, RecommendRequest, Recommendation, SatisfactionSignal, SignalWal,
-    TrainedLorentz,
+    StoreError, TrainedLorentz,
 };
 use lorentz_types::{DeltaCorruption, HandshakeRejection};
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, RwLock};
@@ -116,10 +116,9 @@ pub struct FollowerConfig {
     pub idle_backoff_cap: Duration,
     /// The live Stage-2 model recommendations are served with.
     pub kind: ModelKind,
-    /// Where a TCP follower persists received frames (byte-identical to
-    /// the leader's log), enabling resume-from-epoch after a restart and
-    /// WAL replay on promotion. Ignored by file followers, whose source
-    /// *is* a durable log.
+    /// Where the follower persists received frames (byte-identical to
+    /// the leader's log) before applying them, enabling resume-from-epoch
+    /// after a restart and WAL replay on promotion.
     pub local_wal: Option<PathBuf>,
     /// Self-promotion on leader loss; `None` (the default) keeps the
     /// replica a follower forever.
@@ -149,13 +148,9 @@ pub struct FollowerStats {
     /// than a stale epoch.
     pub skipped: u64,
     /// Re-delivered records whose epoch the local store had already
-    /// passed — resume-overlap after a reconnect, or a tailer rescan after
-    /// the log shrank. Applying is idempotent: each is dropped without
-    /// touching λ.
+    /// passed — resume overlap after a reconnect. Applying is idempotent:
+    /// each is dropped without touching λ.
     pub duplicates: u64,
-    /// Legacy bare-signal records replayed through propagation (visible
-    /// with the next delta epoch).
-    pub legacy: u64,
     /// The highest epoch seen in the stream so far.
     pub last_epoch: u64,
     /// The highest leader term seen in the stream so far (0 until the
@@ -174,9 +169,10 @@ pub enum ReplicaState {
     /// Promoted: serving as a leader with its own WAL (and, when
     /// configured, its own replication listener). Feedback is accepted.
     Leader,
-    /// The subscription was refused with a typed error (e.g.
-    /// `follower_ahead`) and tailing stopped; operator intervention
-    /// required.
+    /// Tailing stopped and operator intervention is required: the
+    /// subscription was refused with a typed error (e.g. `follower_ahead`),
+    /// or the local replica WAL could not be written (nothing past the last
+    /// persisted frame is applied).
     Halted(String),
     /// Promoted, then superseded: a leader at a strictly higher term was
     /// observed and this replica fenced itself. Reads keep answering from
@@ -217,8 +213,8 @@ struct FollowerShared {
     promoted: Mutex<Option<PromotedLeader>>,
 }
 
-/// A read replica that follows a leader's λ-WAL — through the filesystem
-/// or over TCP — and serves recommendations from the replicated epochs;
+/// A read replica that follows a leader's λ-WAL over TCP and serves
+/// recommendations from the replicated epochs;
 /// optionally promotes itself to a serving leader when the leader dies.
 /// See the module docs for the replication and promotion contracts.
 pub struct FollowerEngine {
@@ -227,27 +223,9 @@ pub struct FollowerEngine {
 }
 
 impl FollowerEngine {
-    /// Starts a follower tailing the leader's WAL file at `wal_path`,
-    /// catching up to its current end before returning. The file may not
-    /// exist yet; the follower starts serving the batch-trained λ and
-    /// picks records up as the leader writes them.
-    ///
-    /// # Errors
-    /// [`EngineError::Wal`] when the existing log cannot be read during
-    /// catch-up; [`EngineError::SpawnFailed`] when the OS refuses the
-    /// tailer thread.
-    pub fn start(
-        deployment: Arc<TrainedLorentz>,
-        wal_path: impl AsRef<Path>,
-        config: FollowerConfig,
-    ) -> Result<Self, EngineError> {
-        let shared = Self::make_shared(deployment, config);
-        let source = FileSource::new(wal_path.as_ref());
-        Self::finish_start(shared, Box::new(source), None)
-    }
-
     /// Starts a follower subscribed to a leader's replication listener at
-    /// `addr` (`host:port`). When the config carries a
+    /// `addr` (`host:port`), catching up to the leader's current epoch
+    /// before returning. When the config carries a
     /// [`FollowerConfig::local_wal`], records already persisted there are
     /// replayed first and the subscription resumes from their last epoch —
     /// the leader streams only the tail.
@@ -255,32 +233,24 @@ impl FollowerEngine {
     /// # Errors
     /// [`EngineError::Replication`] when the connect or handshake fails
     /// (including the typed `follower_ahead` rejection);
-    /// [`EngineError::Wal`] when the local WAL cannot be opened or read;
-    /// [`EngineError::SpawnFailed`] when the OS refuses the tail thread.
+    /// [`EngineError::Wal`] when the local WAL cannot be opened, read or
+    /// appended to during catch-up; [`EngineError::SpawnFailed`] when the
+    /// OS refuses the tail thread.
     pub fn start_tcp(
         deployment: Arc<TrainedLorentz>,
         addr: &str,
         config: FollowerConfig,
     ) -> Result<Self, EngineError> {
         let shared = Self::make_shared(deployment, config);
-        let mut local_wal = None;
-        if let Some(path) = shared.config.local_wal.clone() {
-            // Open first: a torn tail from a crashed run is truncated, so
-            // the tailer below reads a clean log.
-            let (wal, _recovery) = SignalWal::open(&path)?;
-            local_wal = Some(wal);
-            let mut tailer = WalTailer::new(&path);
-            loop {
-                let batch = tailer.poll()?;
-                if batch.is_empty() {
-                    break;
-                }
-                let batch = batch
-                    .into_iter()
-                    .map(|entry| SourcedEntry { entry, raw: None })
-                    .collect();
-                apply_sourced(&shared, batch, None);
-            }
+        let local_wal = open_local_wal(&shared)?;
+        if let Some(path) = &shared.config.local_wal {
+            // Opening truncated a torn tail from a crashed run, so this
+            // pass reads a clean log.
+            let bytes = std::fs::read(path).map_err(|source| StoreError::Io {
+                path: path.display().to_string(),
+                source,
+            })?;
+            apply_sourced(&shared, local_entries(&bytes), None)?;
         }
         let (last_epoch, observed_term) = {
             let stats = shared.stats.lock().expect("follower stats poisoned");
@@ -299,17 +269,17 @@ impl FollowerEngine {
     /// and embedders can inject sources.
     ///
     /// # Errors
-    /// As [`FollowerEngine::start`].
+    /// [`EngineError::Replication`] when the source rejects the
+    /// subscription during catch-up; [`EngineError::Wal`] when the local
+    /// WAL cannot be opened or written during catch-up;
+    /// [`EngineError::SpawnFailed`] when the OS refuses the tail thread.
     pub fn start_with_source(
         deployment: Arc<TrainedLorentz>,
         source: Box<dyn ReplicationSource>,
         config: FollowerConfig,
     ) -> Result<Self, EngineError> {
         let shared = Self::make_shared(deployment, config);
-        let local_wal = match shared.config.local_wal.clone() {
-            Some(path) => Some(SignalWal::open(&path)?.0),
-            None => None,
-        };
+        let local_wal = open_local_wal(&shared)?;
         Self::finish_start(shared, source, local_wal)
     }
 
@@ -331,12 +301,12 @@ impl FollowerEngine {
     fn finish_start(
         shared: Arc<FollowerShared>,
         mut source: Box<dyn ReplicationSource>,
-        mut local_wal: Option<SignalWal>,
+        mut local_wal: Option<ReplicaWal>,
     ) -> Result<Self, EngineError> {
         loop {
             match source.poll() {
-                SourcePoll::Entries(batch) => apply_sourced(&shared, batch, local_wal.as_mut()),
-                SourcePoll::Reset => full_resync(&shared, local_wal.as_mut()),
+                SourcePoll::Entries(batch) => apply_sourced(&shared, batch, local_wal.as_mut())?,
+                SourcePoll::Reset => full_resync(&shared, local_wal.as_mut())?,
                 SourcePoll::Rejected(rejection) => {
                     return Err(EngineError::Replication(ReplicationError::Rejected(
                         rejection,
@@ -586,18 +556,18 @@ fn tail_jitter_seed() -> u64 {
 }
 
 /// The tail thread body: poll, apply, back off when idle — until stopped,
-/// halted by a typed rejection, or promoted (after which the same thread
-/// stays alive as the demotion watchdog, see [`watch_promoted`]). Leader
-/// loss is tolerated up to the promotion detection timeout (sources
-/// reconnect internally); without a promote config it is tolerated
-/// forever, preserving the original file-follower behavior of riding out
-/// leader restarts. A `stale_leader` rejection is handled as a *loss*,
-/// not a halt: the refusing upstream is the zombie of an older term, and
-/// the right move is to promote past it or find the real leader.
+/// halted (a typed rejection, or a local WAL that cannot be written), or
+/// promoted (after which the same thread stays alive as the demotion
+/// watchdog, see [`watch_promoted`]). Leader loss is tolerated up to the
+/// promotion detection timeout (sources reconnect internally); without a
+/// promote config it is tolerated forever, riding out leader restarts. A
+/// `stale_leader` rejection is handled as a *loss*, not a halt: the
+/// refusing upstream is the zombie of an older term, and the right move is
+/// to promote past it or find the real leader.
 fn tail_loop(
     shared: &Arc<FollowerShared>,
     mut source: Box<dyn ReplicationSource>,
-    mut local_wal: Option<SignalWal>,
+    mut local_wal: Option<ReplicaWal>,
 ) {
     let mut backoff = PollBackoff::with_jitter(
         shared.config.poll_interval,
@@ -610,14 +580,18 @@ fn tail_loop(
             SourcePoll::Entries(batch) => {
                 lost_since = None;
                 backoff.reset();
-                apply_sourced(shared, batch, local_wal.as_mut());
+                if let Err(e) = apply_sourced(shared, batch, local_wal.as_mut()) {
+                    return halt(shared, format!("replica WAL append failed: {e}"));
+                }
                 // Drain eagerly; only sleep once the stream is dry.
                 continue;
             }
             SourcePoll::Reset => {
                 lost_since = None;
                 backoff.reset();
-                full_resync(shared, local_wal.as_mut());
+                if let Err(e) = full_resync(shared, local_wal.as_mut()) {
+                    return halt(shared, format!("replica WAL truncate failed: {e}"));
+                }
                 continue;
             }
             SourcePoll::Idle => {
@@ -631,11 +605,7 @@ fn tail_loop(
                 }
                 true
             }
-            SourcePoll::Rejected(rejection) => {
-                *shared.state.lock().expect("follower state poisoned") =
-                    ReplicaState::Halted(rejection.to_string());
-                return;
-            }
+            SourcePoll::Rejected(rejection) => return halt(shared, rejection.to_string()),
             SourcePoll::LeaderLost(_reason) => true,
         };
         if lost {
@@ -650,32 +620,31 @@ fn tail_loop(
                         let stats = shared.stats.lock().expect("follower stats poisoned");
                         stats.leader_term.max(source.observed_term())
                     };
-                    match try_promote(shared, &promote, observed_term) {
-                        PromotionOutcome::Promoted => {
-                            watch_promoted(shared);
-                            return;
+                    let outcome = try_promote(shared, &promote, observed_term);
+                    if let PromotionOutcome::Promoted = outcome {
+                        watch_promoted(shared);
+                        return;
+                    }
+                    local_wal = match open_local_wal(shared) {
+                        Ok(wal) => wal,
+                        Err(e) => return halt(shared, format!("replica WAL reopen failed: {e}")),
+                    };
+                    if let PromotionOutcome::LostRace(winner) = outcome {
+                        let last_epoch = shared
+                            .stats
+                            .lock()
+                            .expect("follower stats poisoned")
+                            .last_epoch;
+                        if let Ok(new_source) =
+                            TcpSource::connect_with_term(&winner, last_epoch, observed_term)
+                        {
+                            source = Box::new(new_source);
+                            lost_since = None;
+                            backoff.reset();
+                            continue;
                         }
-                        PromotionOutcome::LostRace(winner) => {
-                            let last_epoch = shared
-                                .stats
-                                .lock()
-                                .expect("follower stats poisoned")
-                                .last_epoch;
-                            local_wal = reopen_local_wal(shared);
-                            if let Ok(new_source) =
-                                TcpSource::connect_with_term(&winner, last_epoch, observed_term)
-                            {
-                                source = Box::new(new_source);
-                                lost_since = None;
-                                backoff.reset();
-                                continue;
-                            }
-                            // The winner is not accepting yet; fall
-                            // through, sleep, and retry the election.
-                        }
-                        PromotionOutcome::Failed => {
-                            local_wal = reopen_local_wal(shared);
-                        }
+                        // The winner is not accepting yet; fall through,
+                        // sleep, and retry the election.
                     }
                 }
             }
@@ -722,14 +691,64 @@ fn watch_promoted(shared: &Arc<FollowerShared>) {
     }
 }
 
-/// Reopens the local WAL append handle after a promotion attempt that did
-/// not promote (the handle was closed to guarantee a single writer).
-fn reopen_local_wal(shared: &FollowerShared) -> Option<SignalWal> {
-    shared
-        .config
-        .local_wal
-        .as_ref()
-        .and_then(|path| SignalWal::open(path).ok().map(|(wal, _)| wal))
+/// Stops the tail loop for good: records why in [`ReplicaState::Halted`].
+/// Reads keep serving the λ-state applied so far.
+fn halt(shared: &FollowerShared, reason: String) {
+    *shared.state.lock().expect("follower state poisoned") = ReplicaState::Halted(reason);
+}
+
+/// The follower's replica WAL and the highest term marker it holds.
+/// Markers strictly increase within one lineage, so a marker at or below
+/// `last_term` is a re-delivery — a resumed stream restarts just past the
+/// last delta record and repeats the markers after it — and is not
+/// appended again: the replica stays a byte prefix of the leader's log.
+struct ReplicaWal {
+    wal: SignalWal,
+    last_term: u64,
+}
+
+impl ReplicaWal {
+    /// Persists one received frame, skipping a re-delivered marker.
+    fn append(&mut self, entry: &WalEntry, raw: &[u8]) -> Result<(), StoreError> {
+        let term = entry.term();
+        if term.is_some_and(|t| t <= self.last_term) {
+            return Ok(());
+        }
+        self.wal.append_frame(raw)?;
+        if let Some(t) = term {
+            self.last_term = t;
+        }
+        Ok(())
+    }
+}
+
+/// Opens (replaying and truncating a torn tail) the configured local WAL —
+/// at start, and again after a promotion attempt that did not promote
+/// (the handle was closed to guarantee a single writer). `Ok(None)` when
+/// no local WAL is configured.
+fn open_local_wal(shared: &FollowerShared) -> Result<Option<ReplicaWal>, StoreError> {
+    match &shared.config.local_wal {
+        Some(path) => {
+            let (wal, recovery) = SignalWal::open(path)?;
+            Ok(Some(ReplicaWal {
+                wal,
+                last_term: recovery.last_term,
+            }))
+        }
+        None => Ok(None),
+    }
+}
+
+/// Decodes every intact frame of a local replica WAL in one pass, with the
+/// same decoder the TCP source applies to the wire.
+fn local_entries(bytes: &[u8]) -> Vec<SourcedEntry> {
+    let mut entries = Vec::new();
+    let mut offset = 0;
+    while let Some(Ok((entry, end))) = wal::next_frame(bytes, offset) {
+        entries.push(SourcedEntry { entry, raw: None });
+        offset = end;
+    }
+    entries
 }
 
 /// One promotion attempt: win the bind election (when a listen address is
@@ -778,21 +797,25 @@ fn try_promote(
 }
 
 /// Applies one polled batch: delta records advance the local epoch chain
-/// (stale epochs from a rescan are skipped — replay is idempotent);
-/// legacy bare-signal records go through propagation and become visible
-/// with the next delta's swap. Socket-sourced frames carrying raw bytes
-/// are appended to the local WAL first, so what the follower applied is
-/// what it can replay.
+/// (re-delivered epochs are skipped — replay is idempotent) and term
+/// markers advance the observed term. Frames carrying raw bytes are
+/// appended to the local WAL first, so what the follower applied is what
+/// it can replay: the first append that fails stops the batch before that
+/// frame is applied, and its error is returned.
 fn apply_sourced(
     shared: &FollowerShared,
     batch: Vec<SourcedEntry>,
-    mut local_wal: Option<&mut SignalWal>,
-) {
+    mut local_wal: Option<&mut ReplicaWal>,
+) -> Result<(), StoreError> {
     let lambdas = shared.lambdas.read().expect("follower lambdas poisoned");
     let mut stats = shared.stats.lock().expect("follower stats poisoned");
+    let mut persisted = Ok(());
     for sourced in batch {
         if let (Some(wal), Some(raw)) = (local_wal.as_deref_mut(), sourced.raw.as_deref()) {
-            let _ = wal.append_frame(raw);
+            if let Err(e) = wal.append(&sourced.entry, raw) {
+                persisted = Err(e);
+                break;
+            }
         }
         match sourced.entry {
             WalEntry::Record(record) => {
@@ -803,8 +826,8 @@ fn apply_sourced(
                         obs::ENGINE_REPLICATION_APPLIED.inc();
                     }
                     // A stale epoch is a re-delivery (resume overlap after
-                    // a reconnect, or a tailer rescan), not damage: the
-                    // apply is idempotent and the record is dropped.
+                    // a reconnect), not damage: the apply is idempotent and
+                    // the record is dropped.
                     Err(DeltaCorruption::EpochRegression { .. }) => {
                         stats.duplicates += 1;
                         obs::ENGINE_REPLICATION_DUPLICATES.inc();
@@ -814,10 +837,6 @@ fn apply_sourced(
                     }
                 }
             }
-            WalEntry::Signal(signal) => {
-                lambdas.apply_signal(&signal);
-                stats.legacy += 1;
-            }
             WalEntry::Term(term) => {
                 stats.leader_term = stats.leader_term.max(term);
             }
@@ -825,39 +844,39 @@ fn apply_sourced(
     }
     let lag = stats.last_epoch.saturating_sub(lambdas.version());
     obs::ENGINE_REPLICATION_LAG_EPOCHS.set(lag as i64);
+    persisted
 }
 
 /// Full resync: the leader's log no longer reaches back to our epoch, so
 /// the replicated λ-state (and the local copy of the log) is discarded;
-/// the stream that follows rebuilds both from the log's start.
-fn full_resync(shared: &FollowerShared, local_wal: Option<&mut SignalWal>) {
-    if let Some(wal) = local_wal {
-        let _ = wal.truncate_all();
+/// the stream that follows rebuilds both from the log's start. A local
+/// log that cannot be truncated leaves the λ-state untouched and returns
+/// the error.
+fn full_resync(
+    shared: &FollowerShared,
+    local_wal: Option<&mut ReplicaWal>,
+) -> Result<(), StoreError> {
+    if let Some(local) = local_wal {
+        local.wal.truncate_all()?;
+        local.last_term = 0;
     }
     let fresh = LambdaStore::new(shared.deployment.personalizer().clone());
     *shared.lambdas.write().expect("follower lambdas poisoned") = fresh;
     let mut stats = shared.stats.lock().expect("follower stats poisoned");
     stats.last_epoch = 0;
     stats.full_resyncs += 1;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lorentz_core::personalizer::WalRecord;
-    use lorentz_core::{SatisfactionSignal, SignalWal};
+    use lorentz_core::SatisfactionSignal;
     use lorentz_types::{
         CustomerId, LambdaDelta, PathKey, ResourceGroupId, ResourcePath, ServerOffering,
         SubscriptionId,
     };
-
-    fn leader_wal(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("lorentz-follow-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("signals.wal")
-    }
 
     fn path(c: u32) -> ResourcePath {
         ResourcePath::new(CustomerId(c), SubscriptionId(1), ResourceGroupId(1))
@@ -874,7 +893,7 @@ mod tests {
     #[test]
     fn stale_epochs_are_skipped_not_fatal() {
         // Exercise the apply path directly on a store, as the follower
-        // does after a tailer rescan re-reads old records.
+        // does when a resumed subscription re-delivers old records.
         let store = LambdaStore::new(
             lorentz_core::Personalizer::new(lorentz_core::PersonalizerConfig::default()).unwrap(),
         );
@@ -882,17 +901,5 @@ mod tests {
         assert!(store.apply_delta(&r.delta).is_ok());
         assert!(store.apply_delta(&r.delta).is_err(), "duplicate skipped");
         assert_eq!(store.version(), 2);
-    }
-
-    #[test]
-    fn wal_records_round_trip_through_the_tailer() {
-        let wal_path = leader_wal("tailer-roundtrip");
-        let (mut wal, _) = SignalWal::open(&wal_path).unwrap();
-        wal.append_record(&record(1, 0.5, 2)).unwrap();
-        wal.append_record(&record(2, -0.25, 3)).unwrap();
-        let mut tailer = WalTailer::new(&wal_path);
-        let batch = tailer.poll().unwrap();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[1].epoch(), Some(3));
     }
 }

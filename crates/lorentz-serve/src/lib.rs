@@ -44,23 +44,22 @@
 //!   published, and publishes are generational-overlay deltas — O(keys
 //!   changed), never a full-table flatten. The drain ledger extends to
 //!   `feedback_accepted = feedback_applied`.
-//! * **Follower replication** — [`FollowerEngine`] tails a leader's WAL
-//!   (catch-up-then-serve), applies the framed deltas to its own λ store,
-//!   and answers recommendations from the replicated epochs — a read
-//!   replica that converges bit-for-bit without re-running propagation.
 //! * **Replication over TCP & promotion** — [`serve_replication`] runs a
 //!   leader-side listener fanning the WAL frame stream out to subscribed
 //!   followers (per-follower outbox threads, so one slow standby never
 //!   stalls the leader), with a resume-from-epoch handshake: a follower
 //!   reconnecting with its last applied epoch receives only the tail, or
-//!   a full-resync verdict when the leader compacted past it. Transports
-//!   hide behind the [`ReplicationSource`] trait ([`FileSource`] /
-//!   [`TcpSource`]); [`FollowerEngine::start_tcp`] persists received
-//!   frames to a local WAL (byte-identical to the leader's) and, when
-//!   configured with a [`PromoteConfig`], promotes itself to a serving
-//!   leader after the leader stays unreachable past the detection
+//!   a full-resync verdict when the leader compacted past it.
+//!   [`FollowerEngine::start_tcp`] subscribes through a [`TcpSource`]
+//!   (over loopback on the leader's machine), catches up, and serves from
+//!   the replicated epochs — applying the framed deltas converges
+//!   bit-for-bit without re-running propagation. It persists received
+//!   frames to a local WAL (byte-identical to the leader's) before
+//!   applying them and, with a [`PromoteConfig`], promotes itself to a
+//!   serving leader after the leader stays unreachable past the detection
 //!   timeout — exactly-once across racing standbys, arbitrated by the
-//!   promotion listen address bind.
+//!   promotion listen address bind. Tests inject their own
+//!   [`ReplicationSource`].
 //! * **Leader-term fencing** — every leader serves under a monotonically
 //!   increasing term, minted at first start and on every promotion and
 //!   persisted in-band as a WAL term marker. Subscribe handshakes carry
@@ -156,8 +155,8 @@ pub use engine::ServingEngine;
 pub use follower::{FollowerConfig, FollowerEngine, FollowerStats, PromoteConfig, ReplicaState};
 pub use net::{serve_net, NetConfig, NetReport};
 pub use replication::{
-    serve_replication, FileSource, ReplicationConfig, ReplicationError, ReplicationListener,
-    ReplicationSource, SourcePoll, SourcedEntry, TcpSource,
+    serve_replication, ReplicationConfig, ReplicationError, ReplicationListener, ReplicationSource,
+    SourcePoll, SourcedEntry, TcpSource,
 };
 pub use types::{
     EngineError, EngineStats, RequestError, ServeConfig, ServeError, ServeRequest, ServeResponse,

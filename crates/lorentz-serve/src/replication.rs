@@ -26,13 +26,11 @@
 //! replica-WAL-is-a-byte-prefix property is preserved.
 //!
 //! The follower side is abstracted behind [`ReplicationSource`] — "where
-//! do replicated WAL entries come from" — with two implementations:
-//! [`FileSource`] (tail the leader's WAL through the filesystem, the
-//! original same-machine transport) and [`TcpSource`] (subscribe to a
-//! leader's replication listener over a socket). The
-//! [`FollowerEngine`](crate::FollowerEngine) drives either through the
-//! same apply path, which is what makes the tcp:// and file: followers
-//! byte-equivalent.
+//! do replicated WAL entries come from". [`TcpSource`] subscribes to a
+//! leader's replication listener over a socket (a standby on the leader's
+//! machine dials loopback); tests inject their own sources through the
+//! same seam. The [`FollowerEngine`](crate::FollowerEngine) drives every
+//! source through one apply path.
 //!
 //! Fail points (compiled in with the `fault-injection` feature):
 //! `serve.replication.send` fires on every leader→follower frame send;
@@ -43,7 +41,7 @@
 use crate::engine::ServingEngine;
 use crate::wire::{self, WireError};
 use lorentz_core::obs;
-use lorentz_core::personalizer::{PollBackoff, SignalWal, WalEntry, WalTailer};
+use lorentz_core::personalizer::{PollBackoff, SignalWal, WalEntry};
 use lorentz_types::{
     HandshakeRejection, ResumeMode, StoreCorruption, SubscribeAck, SubscribeReply, SubscribeRequest,
 };
@@ -567,14 +565,15 @@ fn write_reply(stream: &mut TcpStream, reply: &SubscribeReply) -> io::Result<()>
 // Follower-side sources
 // ---------------------------------------------------------------------------
 
-/// One replicated WAL entry plus, for socket transports, the raw on-wire
-/// frame bytes (so the follower can persist them to a local WAL verbatim).
+/// One replicated WAL entry plus, when the transport carries them, the raw
+/// on-wire frame bytes (so the follower can persist them to a local WAL
+/// verbatim).
 #[derive(Debug)]
 pub struct SourcedEntry {
     /// The decoded WAL entry.
     pub entry: WalEntry,
-    /// The exact frame bytes as the leader wrote them; `None` for sources
-    /// that already read from a durable local file.
+    /// The exact frame bytes as the leader wrote them; `None` when the
+    /// entry was read back from the follower's own local WAL.
     pub raw: Option<Vec<u8>>,
 }
 
@@ -606,49 +605,10 @@ pub trait ReplicationSource: Send {
     /// Human-readable endpoint, for logs and errors.
     fn describe(&self) -> String;
     /// The highest leader term this source has observed (handshake acks
-    /// and streamed term markers). 0 for transports without terms; a
-    /// promoting follower mints strictly above this.
+    /// and streamed term markers); a promoting follower mints strictly
+    /// above this. 0 for sources that track no terms.
     fn observed_term(&self) -> u64 {
         0
-    }
-}
-
-/// The filesystem transport: tail the leader's WAL through a shared file,
-/// exactly the original same-machine follower. Never reports
-/// [`SourcePoll::LeaderLost`] — a file does not disconnect — so a
-/// file-following replica never self-promotes.
-pub struct FileSource {
-    path: PathBuf,
-    tailer: WalTailer,
-}
-
-impl FileSource {
-    /// A source tailing the WAL at `path` (which may not exist yet).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        let tailer = WalTailer::new(&path);
-        Self { path, tailer }
-    }
-}
-
-impl ReplicationSource for FileSource {
-    fn poll(&mut self) -> SourcePoll {
-        match self.tailer.poll() {
-            Ok(batch) if batch.is_empty() => SourcePoll::Idle,
-            Ok(batch) => SourcePoll::Entries(
-                batch
-                    .into_iter()
-                    .map(|entry| SourcedEntry { entry, raw: None })
-                    .collect(),
-            ),
-            // Read errors are transient from the follower's perspective
-            // (the leader may be mid-truncate); retry from the same offset.
-            Err(_) => SourcePoll::Idle,
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("file:{}", self.path.display())
     }
 }
 
@@ -787,10 +747,10 @@ impl TcpSource {
             .map_err(|e| EstablishError::Transport(format!("bad handshake reply: {e}")))?;
         match reply {
             SubscribeReply::Ok(ack) => {
-                // Belt-and-suspenders for leaders that don't check terms
-                // (a legacy leader acks with leader_term 0): a stream from
-                // a term below what this follower has already seen is a
-                // stale lineage and must not be applied.
+                // Belt-and-suspenders for a leader that acks without
+                // having checked our term: a stream from a term below what
+                // this follower has already seen is a stale lineage and
+                // must not be applied.
                 if ack.leader_term < observed {
                     return Err(EstablishError::Rejected(HandshakeRejection::StaleLeader {
                         leader_term: ack.leader_term,

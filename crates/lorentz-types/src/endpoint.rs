@@ -1,119 +1,63 @@
-//! Typed transport endpoints (`file:PATH` / `tcp://HOST:PORT`).
+//! Typed transport endpoints (`tcp://HOST:PORT`).
 //!
 //! Every place the CLI names a transport — the client front end's listen
 //! address, a follower's replication upstream, the leader's replication
 //! listener — parses one [`Endpoint`] instead of growing its own flag
-//! grammar. Two schemes exist:
-//!
-//! * `file:PATH` (or `file://PATH`) — a path on a filesystem shared with
-//!   the leader, tailed directly;
-//! * `tcp://HOST:PORT` — a socket address, resolved at connect/bind time.
-//!
-//! A bare path with no scheme is accepted only through
-//! [`Endpoint::parse_compat`], which flags it so callers can print a
-//! deprecation warning; new code and docs always write the scheme.
+//! grammar. The one scheme is `tcp://HOST:PORT`, a socket address resolved
+//! at connect/bind time; a standby on the leader's machine subscribes over
+//! loopback (`tcp://127.0.0.1:PORT`). Anything else — a bare path, a
+//! `file:` URI, another scheme — is rejected with an error naming the
+//! expected form.
 
 use std::fmt;
-use std::path::PathBuf;
 
 use crate::error::LorentzError;
 
 /// A parsed transport endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
-    /// A filesystem path (`file:PATH`).
-    File(PathBuf),
     /// A TCP authority (`tcp://HOST:PORT`), kept as a string and resolved
     /// by `ToSocketAddrs` at connect/bind time so hostnames work.
     Tcp(String),
 }
 
 impl Endpoint {
-    /// Parse an endpoint URI. Requires an explicit scheme; a scheme-less
-    /// string is an error (use [`Endpoint::parse_compat`] at CLI surfaces
-    /// that must keep the deprecated bare-path form working).
+    /// Parse an endpoint URI; only `tcp://HOST:PORT` is accepted.
     pub fn parse(s: &str) -> Result<Endpoint, LorentzError> {
         let s = s.trim();
-        if let Some(rest) = s
-            .strip_prefix("file://")
-            .or_else(|| s.strip_prefix("file:"))
-        {
-            if rest.is_empty() {
-                return Err(LorentzError::InvalidConfig(format!(
-                    "endpoint '{s}' has an empty path"
-                )));
-            }
-            return Ok(Endpoint::File(PathBuf::from(rest)));
-        }
-        if let Some(rest) = s.strip_prefix("tcp://") {
-            let authority = rest.trim_end_matches('/');
-            let port_ok = authority.rsplit_once(':').is_some_and(|(host, port)| {
-                // An unbracketed IPv6 literal (`tcp://::1:7400`) would
-                // silently misparse — the last colon is inside the
-                // address — so hosts with colons are rejected outright.
-                !host.is_empty() && !host.contains(':') && port.parse::<u16>().is_ok()
-            });
-            if !port_ok {
-                return Err(LorentzError::InvalidConfig(format!(
-                    "endpoint '{s}' must be tcp://HOST:PORT with a numeric port \
-                     (IPv6 literals are not supported)"
-                )));
-            }
-            return Ok(Endpoint::Tcp(authority.to_owned()));
-        }
-        if let Some((scheme, _)) = s.split_once("://") {
+        let Some(rest) = s.strip_prefix("tcp://") else {
             return Err(LorentzError::InvalidConfig(format!(
-                "unsupported endpoint scheme '{scheme}' (expected file:PATH or tcp://HOST:PORT)"
+                "endpoint '{s}' is not tcp://HOST:PORT (a follower on the leader's \
+                 machine subscribes over loopback, tcp://127.0.0.1:PORT)"
+            )));
+        };
+        let authority = rest.trim_end_matches('/');
+        let port_ok = authority.rsplit_once(':').is_some_and(|(host, port)| {
+            // An unbracketed IPv6 literal (`tcp://::1:7400`) would
+            // silently misparse — the last colon is inside the
+            // address — so hosts with colons are rejected outright.
+            !host.is_empty() && !host.contains(':') && port.parse::<u16>().is_ok()
+        });
+        if !port_ok {
+            return Err(LorentzError::InvalidConfig(format!(
+                "endpoint '{s}' must be tcp://HOST:PORT with a numeric port \
+                 (IPv6 literals are not supported)"
             )));
         }
-        Err(LorentzError::InvalidConfig(format!(
-            "endpoint '{s}' has no scheme (expected file:PATH or tcp://HOST:PORT)"
-        )))
+        Ok(Endpoint::Tcp(authority.to_owned()))
     }
 
-    /// Parse an endpoint, additionally accepting the deprecated bare-path
-    /// form. Returns `(endpoint, used_bare_path_alias)` so the caller can
-    /// warn on the second component.
-    pub fn parse_compat(s: &str) -> Result<(Endpoint, bool), LorentzError> {
-        match Endpoint::parse(s) {
-            Ok(ep) => Ok((ep, false)),
-            Err(e) => {
-                let bare = !s.contains("://")
-                    && !s.starts_with("file:")
-                    && !s.starts_with("tcp:")
-                    && !s.trim().is_empty();
-                if bare {
-                    Ok((Endpoint::File(PathBuf::from(s.trim())), true))
-                } else {
-                    Err(e)
-                }
-            }
-        }
-    }
-
-    /// The filesystem path, if this is a `file:` endpoint.
-    pub fn as_file(&self) -> Option<&PathBuf> {
+    /// The TCP authority (`HOST:PORT`).
+    pub fn as_tcp(&self) -> &str {
         match self {
-            Endpoint::File(p) => Some(p),
-            Endpoint::Tcp(_) => None,
-        }
-    }
-
-    /// The TCP authority (`HOST:PORT`), if this is a `tcp://` endpoint.
-    pub fn as_tcp(&self) -> Option<&str> {
-        match self {
-            Endpoint::Tcp(a) => Some(a),
-            Endpoint::File(_) => None,
+            Endpoint::Tcp(a) => a,
         }
     }
 }
 
 impl fmt::Display for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::File(p) => write!(f, "file:{}", p.display()),
-            Endpoint::Tcp(a) => write!(f, "tcp://{a}"),
-        }
+        write!(f, "tcp://{}", self.as_tcp())
     }
 }
 
@@ -122,15 +66,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_both_schemes() {
-        assert_eq!(
-            Endpoint::parse("file:/var/lorentz/signals.wal").unwrap(),
-            Endpoint::File(PathBuf::from("/var/lorentz/signals.wal"))
-        );
-        assert_eq!(
-            Endpoint::parse("file:///var/run/x.wal").unwrap(),
-            Endpoint::File(PathBuf::from("/var/run/x.wal"))
-        );
+    fn parses_tcp_endpoints() {
         assert_eq!(
             Endpoint::parse("tcp://127.0.0.1:7400").unwrap(),
             Endpoint::Tcp("127.0.0.1:7400".to_owned())
@@ -155,20 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn compat_accepts_bare_paths_and_flags_them() {
-        let (ep, deprecated) = Endpoint::parse_compat("/tmp/replica.wal").unwrap();
-        assert_eq!(ep, Endpoint::File(PathBuf::from("/tmp/replica.wal")));
-        assert!(deprecated);
-        let (ep, deprecated) = Endpoint::parse_compat("tcp://h:1").unwrap();
-        assert_eq!(ep, Endpoint::Tcp("h:1".to_owned()));
-        assert!(!deprecated);
-        assert!(Endpoint::parse_compat("tcp://h").is_err());
-    }
-
-    #[test]
     fn display_roundtrips() {
-        for s in ["file:/a/b.wal", "tcp://127.0.0.1:7400"] {
-            assert_eq!(Endpoint::parse(s).unwrap().to_string(), s);
-        }
+        let s = "tcp://127.0.0.1:7400";
+        assert_eq!(Endpoint::parse(s).unwrap().to_string(), s);
     }
 }

@@ -20,7 +20,7 @@
 //! * [`LambdaDelta`] / [`StratLambdas`] — epoch-stamped λ-change records
 //!   for delta publishing and WAL-streamed replication;
 //! * [`Endpoint`] / [`FrameCodec`] — typed transport endpoints
-//!   (`file:PATH` / `tcp://HOST:PORT`) and the shared length-prefixed frame
+//!   (`tcp://HOST:PORT`) and the shared length-prefixed frame
 //!   codec behind the client wire protocol, the signal WAL, and the
 //!   replication stream;
 //! * [`SubscribeRequest`] / [`SubscribeReply`] — the follower↔leader

@@ -41,14 +41,14 @@
 //! Every serving leader carries a monotonically increasing **term**,
 //! persisted as a framed record in its WAL and incremented on every
 //! promotion. The handshake stamps terms in both directions: the follower
-//! reports the highest term it has observed (`term`, absent on legacy
-//! peers and read as 0), and the ack carries the leader's own term
-//! (`leader_term`, likewise 0 from legacy leaders). A leader contacted by
-//! a subscriber that has observed a *higher* term knows it has been
-//! superseded: it answers [`HandshakeRejection::StaleLeader`] and fences
-//! itself. A follower whose ack carries a term *below* what it has
-//! already observed refuses the stream for the same reason — applying a
-//! stale leader's frames would fork the replica WAL.
+//! reports the highest term it has observed (`term`), and the ack carries
+//! the leader's own term (`leader_term`). Both fields are required; a frame
+//! without one is `malformed`. A leader contacted by a subscriber that has
+//! observed a *higher* term knows it has been superseded: it answers
+//! [`HandshakeRejection::StaleLeader`] and fences itself. A follower whose
+//! ack carries a term *below* what it has already observed refuses the
+//! stream for the same reason — applying a stale leader's frames would
+//! fork the replica WAL.
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -59,8 +59,7 @@ pub struct SubscribeRequest {
     /// stream from the beginning.
     pub last_epoch: u64,
     /// Highest leader term the follower has observed (from term records
-    /// it replayed or acks it received); `0` from legacy followers whose
-    /// subscribe frames predate terms.
+    /// it replayed or acks it received).
     pub term: u64,
 }
 
@@ -84,8 +83,7 @@ pub struct SubscribeAck {
     pub from_epoch: u64,
     /// The leader's current epoch at subscription time.
     pub leader_epoch: u64,
-    /// The leader's current term; `0` from legacy leaders whose acks
-    /// predate terms.
+    /// The leader's current term.
     pub leader_term: u64,
 }
 
@@ -160,15 +158,6 @@ fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
         .ok_or_else(|| SerdeError::custom(format!("handshake frame missing field '{name}'")))
 }
 
-/// Reads an optional `u64` field, defaulting to 0 when absent — the
-/// legacy-compat rule for term fields added after the epoch-only protocol.
-fn term_field(v: &Value, name: &str) -> Result<u64, SerdeError> {
-    match v.get_field(name) {
-        Some(raw) => u64::from_value(raw),
-        None => Ok(0),
-    }
-}
-
 impl Serialize for SubscribeRequest {
     fn to_value(&self) -> Value {
         Value::Map(vec![(
@@ -186,7 +175,7 @@ impl Deserialize for SubscribeRequest {
         let body = field(v, "subscribe")?;
         Ok(SubscribeRequest {
             last_epoch: u64::from_value(field(body, "last_epoch")?)?,
-            term: term_field(body, "term")?,
+            term: u64::from_value(field(body, "term")?)?,
         })
     }
 }
@@ -247,7 +236,7 @@ impl Deserialize for SubscribeReply {
                 mode,
                 from_epoch: u64::from_value(field(body, "from_epoch")?)?,
                 leader_epoch: u64::from_value(field(body, "leader_epoch")?)?,
-                leader_term: term_field(body, "leader_term")?,
+                leader_term: u64::from_value(field(body, "leader_term")?)?,
             }));
         }
         if let Some(body) = v.get_field("error") {
@@ -331,31 +320,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_frames_without_terms_read_as_term_zero() {
-        // A pre-term follower's subscribe frame and a pre-term leader's
-        // ack both parse, with the absent term fields defaulting to 0.
-        let req: SubscribeRequest =
-            serde_json::from_str(r#"{"subscribe": {"last_epoch": 9}}"#).unwrap();
-        assert_eq!(
-            req,
-            SubscribeRequest {
-                last_epoch: 9,
-                term: 0
-            }
-        );
-        let reply: SubscribeReply = serde_json::from_str(
+    fn frames_without_terms_are_rejected() {
+        // A subscribe frame without `term` and an ack without
+        // `leader_term` fail to parse, naming the missing field; the
+        // leader answers the former with a typed `malformed` rejection.
+        let err = serde_json::from_str::<SubscribeRequest>(r#"{"subscribe": {"last_epoch": 9}}"#)
+            .unwrap_err();
+        assert!(err.to_string().contains("'term'"), "{err}");
+        let err = serde_json::from_str::<SubscribeReply>(
             r#"{"ok": {"mode": "resume", "from_epoch": 9, "leader_epoch": 12}}"#,
         )
-        .unwrap();
-        assert_eq!(
-            reply,
-            SubscribeReply::Ok(SubscribeAck {
-                mode: ResumeMode::Resume,
-                from_epoch: 9,
-                leader_epoch: 12,
-                leader_term: 0,
-            })
-        );
+        .unwrap_err();
+        assert!(err.to_string().contains("'leader_term'"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Property-based tests of [`Endpoint`] parsing: every endpoint the
 //! grammar accepts survives a parse → Display → parse round trip, and the
 //! malformed shapes operators actually type — out-of-range ports, IPv6
-//! literals (whose colons would misparse the authority), empty paths —
+//! literals (whose colons would misparse the authority), file paths —
 //! are rejected for any generated instance, not just the handful of
 //! fixtures in the unit tests.
 
-use lorentz::types::Endpoint;
+use lorentz::types::{Endpoint, LorentzError};
 use proptest::prelude::*;
-use std::path::PathBuf;
 
 const HOST_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789.-";
 const PATH_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789./-_";
@@ -33,18 +32,8 @@ proptest! {
         let s = format!("tcp://{h}:{port}");
         let ep = Endpoint::parse(&s).expect("valid tcp endpoint");
         let authority = format!("{h}:{port}");
-        prop_assert_eq!(ep.as_tcp(), Some(authority.as_str()));
+        prop_assert_eq!(ep.as_tcp(), authority.as_str());
         prop_assert_eq!(ep.to_string(), s.clone());
-        prop_assert_eq!(Endpoint::parse(&ep.to_string()).unwrap(), ep);
-    }
-
-    /// A non-empty `file:PATH` parses to that path and the display form
-    /// re-parses to an equal endpoint.
-    #[test]
-    fn file_roundtrips(ix in collection::vec(0usize..1000, 1..24)) {
-        let p = path(&ix);
-        let ep = Endpoint::parse(&format!("file:{p}")).expect("valid file endpoint");
-        prop_assert_eq!(ep.as_file(), Some(&PathBuf::from(p)));
         prop_assert_eq!(Endpoint::parse(&ep.to_string()).unwrap(), ep);
     }
 
@@ -80,17 +69,20 @@ proptest! {
         }
     }
 
-    /// The compat parser accepts exactly the bare paths (flagging them as
-    /// deprecated) and never re-labels a scheme-carrying string.
+    /// A path is never an endpoint: bare, `file:` or `file://`, it is
+    /// rejected as invalid configuration with a message naming the one
+    /// accepted form.
     #[test]
-    fn compat_flags_bare_paths(ix in collection::vec(0usize..1000, 1..24)) {
+    fn paths_are_rejected_naming_tcp(ix in collection::vec(0usize..1000, 1..24)) {
         let p = path(&ix);
-        let (ep, deprecated) = Endpoint::parse_compat(&p).expect("bare path accepted");
-        prop_assert!(deprecated);
-        prop_assert_eq!(ep, Endpoint::File(PathBuf::from(p.clone())));
-        let (ep, deprecated) = Endpoint::parse_compat(&format!("file:{p}")).unwrap();
-        prop_assert!(!deprecated);
-        prop_assert_eq!(ep, Endpoint::File(PathBuf::from(p)));
+        for s in [p.clone(), format!("file:{p}"), format!("file://{p}")] {
+            match Endpoint::parse(&s) {
+                Err(LorentzError::InvalidConfig(msg)) => {
+                    prop_assert!(msg.contains("tcp://HOST:PORT"), "{s}: {msg}");
+                }
+                other => prop_assert!(false, "{s} must be rejected, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -8,50 +8,17 @@
 
 #![cfg(feature = "fault-injection")]
 
-use lorentz::core::{LorentzConfig, LorentzPipeline, SatisfactionSignal, TrainedLorentz};
 use lorentz::fault::{registry, FailAction, Trigger};
 use lorentz::serve::{
     serve_replication, FollowerConfig, FollowerEngine, ReplicationConfig, ServeConfig,
     ServingEngine,
 };
-use lorentz::simdata::fleet::FleetConfig;
-use lorentz::types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
+use lorentz::types::ServerOffering;
 use std::net::TcpListener;
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 mod common;
-use common::TestDir;
-
-fn deployment() -> Arc<TrainedLorentz> {
-    static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
-    DEPLOYMENT
-        .get_or_init(|| {
-            let fleet = FleetConfig {
-                n_servers: 80,
-                seed: 20240807,
-                ..FleetConfig::default()
-            }
-            .generate()
-            .unwrap()
-            .fleet;
-            Arc::new(
-                LorentzPipeline::new(LorentzConfig::paper_defaults())
-                    .unwrap()
-                    .train(&fleet)
-                    .unwrap(),
-            )
-        })
-        .clone()
-}
-
-fn hot_path() -> ResourcePath {
-    ResourcePath::new(CustomerId(7), SubscriptionId(8), ResourceGroupId(9))
-}
-
-fn signal(gamma: f64) -> SatisfactionSignal {
-    SatisfactionSignal::new(hot_path(), ServerOffering::GeneralPurpose, gamma).unwrap()
-}
+use common::{deployment, hot_path, signal, TestDir};
 
 #[test]
 fn torn_replication_send_is_survived_by_reconnect_and_resume() {

@@ -3,11 +3,8 @@
 //! backpressure, deadlines, and degraded mode.
 
 use lorentz::core::store::PublishBatch;
-use lorentz::core::{
-    LorentzConfig, LorentzPipeline, SatisfactionSignal, SharedPredictionStore, TrainedLorentz,
-};
+use lorentz::core::{SatisfactionSignal, SharedPredictionStore, TrainedLorentz};
 use lorentz::serve::{ServeConfig, ServeError, ServeRequest, ServingEngine};
-use lorentz::simdata::fleet::FleetConfig;
 use lorentz::types::{
     CustomerId, FeatureId, ResourceGroupId, ResourcePath, ServerOffering, StoreKey, SubscriptionId,
     ValueId,
@@ -15,34 +12,11 @@ use lorentz::types::{
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 mod common;
-use common::TestDir;
-
-/// One trained deployment shared by every engine test (training dominates
-/// test runtime; the engine itself never mutates it).
-fn deployment() -> Arc<TrainedLorentz> {
-    static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
-    DEPLOYMENT
-        .get_or_init(|| {
-            let fleet = FleetConfig {
-                n_servers: 80,
-                seed: 20240807,
-                ..FleetConfig::default()
-            }
-            .generate()
-            .unwrap()
-            .fleet;
-            let trained = LorentzPipeline::new(LorentzConfig::paper_defaults())
-                .unwrap()
-                .train(&fleet)
-                .unwrap();
-            Arc::new(trained)
-        })
-        .clone()
-}
+use common::{deployment, TestDir};
 
 /// A valid all-missing-tags request (served by the fallback buckets and the
 /// store's per-offering defaults).

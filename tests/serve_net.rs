@@ -3,39 +3,17 @@
 //! oversized/garbage frame rejection with typed errors, and exact
 //! drain-on-shutdown accounting over real sockets.
 
-use lorentz::core::{LorentzConfig, LorentzPipeline, TrainedLorentz};
 use lorentz::serve::wire::{read_frame, write_frame};
 use lorentz::serve::{serve_net, NetConfig, NetReport, ServeConfig, ServingEngine};
-use lorentz::simdata::fleet::FleetConfig;
 use serde::Deserialize;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One trained deployment shared by every server in this binary.
-fn deployment() -> Arc<TrainedLorentz> {
-    static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
-    DEPLOYMENT
-        .get_or_init(|| {
-            let fleet = FleetConfig {
-                n_servers: 80,
-                seed: 20240807,
-                ..FleetConfig::default()
-            }
-            .generate()
-            .unwrap()
-            .fleet;
-            Arc::new(
-                LorentzPipeline::new(LorentzConfig::paper_defaults())
-                    .unwrap()
-                    .train(&fleet)
-                    .unwrap(),
-            )
-        })
-        .clone()
-}
+mod common;
+use common::deployment;
 
 /// Starts an engine + TCP front end on an ephemeral port; the handle
 /// resolves to the post-drain [`NetReport`] once a client sends the drain

@@ -7,37 +7,16 @@
 
 #![cfg(feature = "fault-injection")]
 
-use lorentz::core::{LorentzConfig, LorentzPipeline, TrainedLorentz};
 use lorentz::fault::{registry, FailAction, Trigger};
 use lorentz::serve::wire::{read_frame, write_frame, WireError};
 use lorentz::serve::{serve_net, NetConfig, NetReport, ServeConfig, ServingEngine};
-use lorentz::simdata::fleet::FleetConfig;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-fn deployment() -> Arc<TrainedLorentz> {
-    static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
-    DEPLOYMENT
-        .get_or_init(|| {
-            let fleet = FleetConfig {
-                n_servers: 80,
-                seed: 20240807,
-                ..FleetConfig::default()
-            }
-            .generate()
-            .unwrap()
-            .fleet;
-            Arc::new(
-                LorentzPipeline::new(LorentzConfig::paper_defaults())
-                    .unwrap()
-                    .train(&fleet)
-                    .unwrap(),
-            )
-        })
-        .clone()
-}
+mod common;
+use common::deployment;
 
 fn start_server() -> (SocketAddr, JoinHandle<NetReport>) {
     let deployment = deployment();

@@ -1,73 +1,51 @@
 //! Replication over TCP, end to end: a leader fans its λ-WAL out to
-//! socket-subscribed followers, resuming each from its last applied epoch;
-//! a follower that loses the leader past the detection timeout promotes
-//! itself — exactly once across racing standbys — and keeps serving.
+//! socket-subscribed followers, resuming each from its last applied epoch
+//! — including across a leader killed mid-append and restarted on the same
+//! WAL; a follower that loses the leader past the detection timeout
+//! promotes itself — exactly once across racing standbys — and keeps
+//! serving.
 
 use lorentz::core::personalizer::WalRecord;
-use lorentz::core::{
-    LorentzConfig, LorentzPipeline, SatisfactionSignal, SignalWal, TrainedLorentz,
-};
+use lorentz::core::SignalWal;
 use lorentz::serve::{
     serve_replication, FollowerConfig, FollowerEngine, PromoteConfig, ReplicaState,
     ReplicationConfig, ReplicationError, ReplicationSource, ServeConfig, ServeError, ServingEngine,
     SourcePoll, TcpSource,
 };
-use lorentz::simdata::fleet::FleetConfig;
 use lorentz::types::replication::{HandshakeRejection, ResumeMode};
-use lorentz::types::{
-    CustomerId, LambdaDelta, PathKey, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId,
-};
+use lorentz::types::{LambdaDelta, PathKey, ServerOffering};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 mod common;
-use common::TestDir;
+use common::{deployment, hot_path, signal, TestDir};
 
-fn deployment() -> Arc<TrainedLorentz> {
-    static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
-    DEPLOYMENT
-        .get_or_init(|| {
-            let fleet = FleetConfig {
-                n_servers: 80,
-                seed: 20240807,
-                ..FleetConfig::default()
-            }
-            .generate()
-            .unwrap()
-            .fleet;
-            Arc::new(
-                LorentzPipeline::new(LorentzConfig::paper_defaults())
-                    .unwrap()
-                    .train(&fleet)
-                    .unwrap(),
-            )
-        })
-        .clone()
-}
-
-fn hot_path() -> ResourcePath {
-    ResourcePath::new(CustomerId(7), SubscriptionId(8), ResourceGroupId(9))
-}
-
-fn signal(gamma: f64) -> SatisfactionSignal {
-    SatisfactionSignal::new(hot_path(), ServerOffering::GeneralPurpose, gamma).unwrap()
-}
-
-/// A leader serving feedback into `wal` and replicating it on a loopback
-/// listener.
-fn start_leader(
-    wal: &std::path::Path,
-) -> (
+type Leader = (
     ServingEngine,
     std::sync::mpsc::Receiver<lorentz::serve::ServeResponse>,
     lorentz::serve::ReplicationListener,
-) {
+);
+
+/// A leader serving feedback into `wal` and replicating it on a loopback
+/// listener.
+fn start_leader(wal: &std::path::Path) -> Leader {
+    start_leader_on(wal, "127.0.0.1:0")
+}
+
+/// [`start_leader`] on a fixed replication address, so a restarted leader
+/// comes back where its followers redial.
+fn start_leader_on(wal: &std::path::Path, addr: &str) -> Leader {
     let (engine, responses) =
         ServingEngine::start_with_wal(deployment(), ServeConfig::default(), wal).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let listener = TcpListener::bind(addr).unwrap();
     let repl = serve_replication(&engine, listener, ReplicationConfig::default()).unwrap();
     (engine, responses, repl)
+}
+
+/// A loopback address that was free a moment ago.
+fn free_loopback_addr() -> String {
+    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+    probe.local_addr().unwrap().to_string()
 }
 
 fn wait_for_epoch(follower: &FollowerEngine, want: u64) {
@@ -89,17 +67,14 @@ fn leader_lambda(leader: &ServingEngine) -> f64 {
 }
 
 #[test]
-fn tcp_follower_serves_lambda_byte_identical_to_file_follower() {
+fn tcp_follower_serves_lambda_byte_identical_to_the_leader() {
     let dir = TestDir::new("tcp-repl-equivalence");
     let wal = dir.join("leader.wal");
     let (leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
 
-    let file_follower =
-        FollowerEngine::start(deployment(), &wal, FollowerConfig::default()).unwrap();
-    let tcp_follower =
+    let follower =
         FollowerEngine::start_tcp(deployment(), &addr, FollowerConfig::default()).unwrap();
-
     for gamma in [1.0, 1.0, -0.5] {
         leader.submit_feedback(signal(gamma)).unwrap();
     }
@@ -107,25 +82,85 @@ fn tcp_follower_serves_lambda_byte_identical_to_file_follower() {
     let want = leader.lambda_version();
     let lambda = leader_lambda(&leader);
 
-    wait_for_epoch(&file_follower, want);
-    wait_for_epoch(&tcp_follower, want);
-    for follower in [&file_follower, &tcp_follower] {
-        let replicated = follower
-            .lambda_snapshot()
-            .lambda(&hot_path(), ServerOffering::GeneralPurpose);
-        assert_eq!(
-            replicated.to_bits(),
-            lambda.to_bits(),
-            "replicated λ diverged from the leader's"
-        );
-        assert_eq!(follower.lambda_version(), want);
-    }
-    let tcp_stats = tcp_follower.stop();
-    let file_stats = file_follower.stop();
-    assert_eq!(tcp_stats.applied, file_stats.applied);
-    assert_eq!(tcp_stats.skipped, 0);
+    wait_for_epoch(&follower, want);
+    let replicated = follower
+        .lambda_snapshot()
+        .lambda(&hot_path(), ServerOffering::GeneralPurpose);
+    assert_eq!(
+        replicated.to_bits(),
+        lambda.to_bits(),
+        "replicated λ diverged from the leader's"
+    );
+    assert_eq!(follower.lambda_version(), want);
+    let stats = follower.stop();
+    assert_eq!(stats.applied, 3);
+    assert_eq!(stats.skipped, 0);
     drop(repl);
     drop(leader);
+}
+
+#[test]
+fn torn_record_stalls_the_follower_until_the_leader_truncates() {
+    let dir = TestDir::new("tcp-repl-kill-mid-append");
+    let wal = dir.join("leader.wal");
+    let local = dir.join("replica.wal");
+    let addr = free_loopback_addr();
+
+    // Round 1: a leader streams two signals to a subscribed follower, then
+    // the process "dies" — and the kill lands mid-append, leaving a torn
+    // third record in its WAL.
+    let (leader, responses, repl) = start_leader_on(&wal, &addr);
+    let follower = FollowerEngine::start_tcp(
+        deployment(),
+        &addr,
+        FollowerConfig {
+            local_wal: Some(local.clone()),
+            ..FollowerConfig::default()
+        },
+    )
+    .unwrap();
+    leader.submit_feedback(signal(1.0)).unwrap();
+    leader.submit_feedback(signal(1.0)).unwrap();
+    leader.flush_feedback();
+    wait_for_epoch(&follower, leader.lambda_version());
+    drop((repl, leader, responses));
+    let intact_len = std::fs::metadata(&wal).unwrap().len();
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend_from_slice(b"LSIG\xff\x00"); // half a header: torn append
+    std::fs::write(&wal, &bytes).unwrap();
+
+    // The follower rides out the loss, stalled at the last good frame.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(follower.stats().applied, 2);
+    assert_eq!(follower.state(), ReplicaState::Following);
+
+    // Round 2: a new leader on the same WAL and replication address —
+    // open truncates the torn tail back to the intact boundary and
+    // replays the two durable signals — then accepts one more.
+    let (leader, _responses, repl) = start_leader_on(&wal, &addr);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), intact_len);
+    leader.submit_feedback(signal(-1.0)).unwrap();
+    leader.flush_feedback();
+    let want = leader.lambda_version();
+    let lambda = leader_lambda(&leader);
+
+    // The follower redials, resumes from its last epoch, and reconverges
+    // on the full three-signal history, bit for bit.
+    wait_for_epoch(&follower, want);
+    let replicated = follower
+        .lambda_snapshot()
+        .lambda(&hot_path(), ServerOffering::GeneralPurpose);
+    assert_eq!(replicated.to_bits(), lambda.to_bits());
+    let stats = follower.stop();
+    assert_eq!(stats.applied, 3);
+    assert_eq!(stats.full_resyncs, 0, "a resume, not a resync");
+    drop(repl);
+    drop(leader);
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        std::fs::read(&local).unwrap(),
+        "the replica's local WAL must be byte-identical to the leader's"
+    );
 }
 
 #[test]
@@ -173,6 +208,42 @@ fn restarted_tcp_follower_resumes_from_its_last_epoch() {
     let local_bytes = std::fs::read(&local).unwrap();
     assert_eq!(
         leader_bytes, local_bytes,
+        "the replica's local WAL must be byte-identical to the leader's"
+    );
+}
+
+#[test]
+fn a_resubscribing_follower_persists_each_term_marker_once() {
+    let dir = TestDir::new("tcp-repl-marker-once");
+    let wal = dir.join("leader.wal");
+    let local = dir.join("replica.wal");
+    let (leader, _responses, repl) = start_leader(&wal);
+    let addr = repl.local_addr().to_string();
+    let config = FollowerConfig {
+        local_wal: Some(local.clone()),
+        ..FollowerConfig::default()
+    };
+
+    // The follower persists the leader's term marker and restarts before
+    // any delta record: it resumes from epoch 0, so the leader replays its
+    // whole log, the marker the replica already holds included.
+    let first = FollowerEngine::start_tcp(deployment(), &addr, config.clone()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while first.stats().leader_term < 1 {
+        assert!(Instant::now() < deadline, "the term marker never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    first.stop();
+    let follower = FollowerEngine::start_tcp(deployment(), &addr, config).unwrap();
+    leader.submit_feedback(signal(1.0)).unwrap();
+    leader.flush_feedback();
+    wait_for_epoch(&follower, leader.lambda_version());
+    follower.stop();
+    drop(repl);
+    drop(leader);
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        std::fs::read(&local).unwrap(),
         "the replica's local WAL must be byte-identical to the leader's"
     );
 }
@@ -303,10 +374,7 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
 
     // Reserve a loopback port for the promotion election, then free it so
     // the winning standby can bind it.
-    let promote_addr = {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        probe.local_addr().unwrap().to_string()
-    };
+    let promote_addr = free_loopback_addr();
     let standby = |name: &str| {
         let local = dir.join(format!("{name}.wal"));
         FollowerEngine::start_tcp(

@@ -54,7 +54,7 @@ fn training_is_byte_deterministic_across_runs_and_thread_counts() {
     for max_threads in [1usize, 2, 0] {
         let trained = LorentzPipeline::new(quick_config())
             .unwrap()
-            .train_with_stage2_threads(&fleet, max_threads)
+            .train_with_threads(&fleet, 0, max_threads)
             .unwrap();
         assert_eq!(
             serde_json::to_string(trained.store()).unwrap(),

@@ -1,8 +1,8 @@
 //! Property-based tests of term-record WAL framing: any interleaving of
-//! term markers, delta records, and legacy bare signals survives a write →
-//! reopen round trip (recovery reports the true maxima), a log with no
-//! term markers recovers as term 0 (the legacy fallback), and a torn
-//! final frame never corrupts what precedes it.
+//! term markers and delta records survives a write → reopen round trip
+//! (recovery reports the true maxima), a log with no term markers
+//! recovers as term 0, and a torn final frame never corrupts what
+//! precedes it.
 
 use lorentz::core::personalizer::WalRecord;
 use lorentz::core::{SatisfactionSignal, SignalWal};
@@ -19,14 +19,19 @@ fn signal(gamma: f64) -> SatisfactionSignal {
     SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, gamma).unwrap()
 }
 
-/// One generated append: 0 = term marker, 1 = delta record, 2 = legacy
-/// bare signal. Terms and epochs take strictly increasing values from
-/// their own counters so the expected maxima are just the last minted.
+/// One generated append: a term marker or a delta record. Terms and
+/// epochs take strictly increasing values from their own counters so the
+/// expected maxima are just the last minted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Append {
     Term,
     Record,
-    Legacy,
+}
+
+fn to_script(raw: &[bool]) -> Vec<Append> {
+    raw.iter()
+        .map(|&term| if term { Append::Term } else { Append::Record })
+        .collect()
 }
 
 fn write_script(path: &std::path::Path, script: &[Append]) -> (u64, u64) {
@@ -59,9 +64,6 @@ fn write_script(path: &std::path::Path, script: &[Append]) -> (u64, u64) {
                 };
                 wal.append_record(&record).unwrap();
             }
-            Append::Legacy => {
-                wal.append(&signal(-0.5)).unwrap();
-            }
         }
     }
     (term, epoch)
@@ -69,20 +71,13 @@ fn write_script(path: &std::path::Path, script: &[Append]) -> (u64, u64) {
 
 proptest! {
     /// Reopening any interleaving recovers the exact maxima: the highest
-    /// minted term (0 when no marker was ever written — the legacy
-    /// fallback) and the highest delta epoch, with no torn tail.
+    /// minted term (0 when no marker was ever written) and the highest
+    /// delta epoch, with no torn tail.
     #[test]
     fn recovery_reports_the_maxima(
-        raw in collection::vec(0u8..3, 0..24),
+        raw in collection::vec(any::<bool>(), 0..24),
     ) {
-        let script: Vec<Append> = raw
-            .iter()
-            .map(|k| match k {
-                0 => Append::Term,
-                1 => Append::Record,
-                _ => Append::Legacy,
-            })
-            .collect();
+        let script = to_script(&raw);
         let dir = TestDir::new("wal-term-maxima");
         let path = dir.join("case.wal");
         let (want_term, want_epoch) = write_script(&path, &script);
@@ -91,9 +86,8 @@ proptest! {
         prop_assert_eq!(recovery.last_term, want_term);
         prop_assert_eq!(recovery.last_epoch, want_epoch);
         prop_assert_eq!(recovery.torn_tail_bytes, 0);
-        let legacy = script.iter().filter(|s| **s == Append::Legacy).count();
         let records = script.iter().filter(|s| **s == Append::Record).count();
-        prop_assert_eq!(recovery.signals.len(), legacy + records);
+        prop_assert_eq!(recovery.signals.len(), records);
 
         // The read-only verifier agrees frame by frame: term markers
         // surface their term, records their epoch.
@@ -111,17 +105,10 @@ proptest! {
     /// the torn bytes are reported, never silently kept.
     #[test]
     fn torn_final_frame_falls_back_to_the_intact_prefix(
-        raw in collection::vec(0u8..3, 1..12),
+        raw in collection::vec(any::<bool>(), 1..12),
         cut_seed in any::<u64>(),
     ) {
-        let script: Vec<Append> = raw
-            .iter()
-            .map(|k| match k {
-                0 => Append::Term,
-                1 => Append::Record,
-                _ => Append::Legacy,
-            })
-            .collect();
+        let script = to_script(&raw);
         let dir = TestDir::new("wal-term-torn");
         let full = dir.join("full.wal");
         write_script(&full, &script);
