@@ -1495,6 +1495,17 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_an_input_error_not_a_stack_overflow() {
+        let schema = lorentz_types::ProfileSchema::azure_postgres();
+        let text = "[".repeat(1_000_000);
+        let err = parse_serve_lines(&text, "deep.ndjson", &schema).unwrap_err();
+        assert!(
+            matches!(&err, CliError::InvalidInput(msg) if msg.contains("deep.ndjson:1")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn feedback_command_and_wal_serve_round_trip() {
         let fleet_path = tmp("fb-fleet.json");
         let model_path = tmp("fb-model.json");

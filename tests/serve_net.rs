@@ -15,16 +15,23 @@ use std::time::Duration;
 mod common;
 use common::deployment;
 
-/// Starts an engine + TCP front end on an ephemeral port; the handle
-/// resolves to the post-drain [`NetReport`] once a client sends the drain
-/// frame.
+/// Starts an engine + TCP front end on an ephemeral port with a 4096-byte
+/// frame cap; the handle resolves to the post-drain [`NetReport`] once a
+/// client sends the drain frame.
 fn start_server(config: ServeConfig) -> (SocketAddr, JoinHandle<NetReport>) {
+    start_server_capped(config, 4096)
+}
+
+fn start_server_capped(
+    config: ServeConfig,
+    max_frame_len: usize,
+) -> (SocketAddr, JoinHandle<NetReport>) {
     let deployment = deployment();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let (engine, responses) = ServingEngine::start(Arc::clone(&deployment), config).unwrap();
     let net_config = NetConfig {
-        max_frame_len: 4096,
+        max_frame_len,
         ..NetConfig::default()
     };
     let handle = std::thread::spawn(move || {
@@ -215,19 +222,28 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
 
 #[test]
 fn garbage_frames_get_a_typed_error_and_the_connection_survives() {
-    let (addr, server) = start_server(ServeConfig::default());
+    // A 1 MiB cap, so the large frames below reach the JSON reader.
+    let (addr, server) = start_server_capped(ServeConfig::default(), 1 << 20);
     let mut stream = connect(addr);
+    // Nested far past the reader's depth limit: rejected, not a stack
+    // overflow on the connection's reader thread.
+    let deep = "[".repeat(200_000);
+    // Well-formed JSON, but a string is not a request object.
+    let big_string = format!("\"{}\"", "x".repeat(900_000));
     for garbage in [
         "not json at all",
         "[1, 2, 3]",
         "{\"offering\": \"warp_drive\"}",
+        deep.as_str(),
+        big_string.as_str(),
     ] {
         send_json(&mut stream, garbage);
         let error = recv_json(&mut stream);
         assert_eq!(
             error.get_field("kind").and_then(|v| v.as_str()),
             Some("malformed"),
-            "frame {garbage:?} should be malformed"
+            "frame {:?}... should be malformed",
+            &garbage[..garbage.len().min(40)]
         );
     }
     // The frame boundary was intact each time: the same connection still
@@ -238,7 +254,7 @@ fn garbage_frames_get_a_typed_error_and_the_connection_survives() {
     assert!(response.get_field("ok").is_some());
     let report = drain(addr, server);
     assert_ledger_exact(&report);
-    assert_eq!(report.frame_errors, 3);
+    assert_eq!(report.frame_errors, 5);
     assert_eq!(report.engine.submitted, 1);
 }
 
