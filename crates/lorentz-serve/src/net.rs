@@ -439,10 +439,7 @@ fn reader_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStrea
                     // Read-your-writes for this connection: the ack only
                     // leaves after the λ publish lands.
                     engine.flush_feedback();
-                    ctx.send_to(
-                        conn_id,
-                        wire::encode_ack("ack", serde::Value::Str("feedback".to_owned())),
-                    );
+                    ctx.send_to(conn_id, wire::encode_ack("ack", "feedback"));
                 }
                 Err(err) => {
                     ctx.send_to(
@@ -452,13 +449,10 @@ fn reader_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStrea
                 }
             },
             Ok(ClientFrame::Ping) => {
-                ctx.send_to(conn_id, wire::encode_ack("pong", serde::Value::Bool(true)));
+                ctx.send_to(conn_id, wire::encode_ack("pong", true));
             }
             Ok(ClientFrame::Drain) => {
-                ctx.send_to(
-                    conn_id,
-                    wire::encode_ack("ack", serde::Value::Str("drain".to_owned())),
-                );
+                ctx.send_to(conn_id, wire::encode_ack("ack", "drain"));
                 ctx.stop.store(true, Ordering::Release);
                 break;
             }

@@ -225,50 +225,76 @@ pub fn parse_client_frame(
     }))
 }
 
+/// Room for a typical recommendation response (about 350 bytes), so
+/// encoding one does not regrow its buffer.
+const RESPONSE_CAPACITY: usize = 512;
+
 /// Encodes a served response, echoing the client's correlation id (the
-/// engine's internal routing id never appears on the wire).
+/// engine's internal routing id never appears on the wire). The frame is
+/// written straight from the typed recommendation: `{"id":…,"ok":…,
+/// "degraded":…,"latency_ns":…}`, or `"error"` and `"kind"` in place of
+/// `"ok"`.
 pub fn encode_response(client_id: u64, response: &ServeResponse) -> Vec<u8> {
-    let mut fields = vec![("id".to_owned(), Value::UInt(client_id))];
+    let mut out = String::with_capacity(RESPONSE_CAPACITY);
+    out.push_str("{\"id\":");
+    client_id.write_json(&mut out);
     match &response.result {
-        Ok(rec) => fields.push(("ok".to_owned(), rec.to_value())),
+        Ok(rec) => {
+            out.push_str(",\"ok\":");
+            rec.write_json(&mut out);
+        }
         Err(e) => {
-            fields.push(("error".to_owned(), Value::Str(e.to_string())));
-            fields.push(("kind".to_owned(), Value::Str("serve".to_owned())));
+            out.push_str(",\"error\":");
+            e.to_string().write_json(&mut out);
+            out.push_str(",\"kind\":\"serve\"");
         }
     }
-    fields.push(("degraded".to_owned(), Value::Bool(response.degraded)));
-    fields.push(("latency_ns".to_owned(), Value::UInt(response.latency_ns)));
-    encode_value(&Value::Map(fields))
+    out.push_str(",\"degraded\":");
+    response.degraded.write_json(&mut out);
+    out.push_str(",\"latency_ns\":");
+    response.latency_ns.write_json(&mut out);
+    out.push('}');
+    out.into_bytes()
 }
 
 /// Encodes a typed protocol error frame: `{"id": ..., "error": "...",
 /// "kind": "..."}`. `client_id` is `None` when the error is not
 /// attributable to a specific request (e.g. an unparseable frame).
 pub fn encode_error(client_id: Option<u64>, kind: &str, message: &str) -> Vec<u8> {
-    let mut fields = Vec::with_capacity(3);
+    let mut out = String::with_capacity(48 + message.len() + kind.len());
+    out.push('{');
     if let Some(id) = client_id {
-        fields.push(("id".to_owned(), Value::UInt(id)));
+        out.push_str("\"id\":");
+        id.write_json(&mut out);
+        out.push(',');
     }
-    fields.push(("error".to_owned(), Value::Str(message.to_owned())));
-    fields.push(("kind".to_owned(), Value::Str(kind.to_owned())));
-    encode_value(&Value::Map(fields))
+    out.push_str("\"error\":");
+    message.write_json(&mut out);
+    out.push_str(",\"kind\":");
+    kind.write_json(&mut out);
+    out.push('}');
+    out.into_bytes()
 }
 
 /// Encodes a one-field acknowledgement frame (`{"ack": "drain"}`,
 /// `{"ack": "feedback"}`, `{"pong": true}`).
-pub fn encode_ack(key: &str, value: Value) -> Vec<u8> {
-    encode_value(&Value::Map(vec![(key.to_owned(), value)]))
-}
-
-fn encode_value(value: &Value) -> Vec<u8> {
-    serde_json::to_string(value)
-        .expect("wire values contain no unserializable variants")
-        .into_bytes()
+pub fn encode_ack(key: &str, value: impl Serialize) -> Vec<u8> {
+    let mut out = String::with_capacity(32);
+    out.push('{');
+    key.write_json(&mut out);
+    out.push(':');
+    value.write_json(&mut out);
+    out.push('}');
+    out.into_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ServeError;
+    use lorentz_core::explain::BucketSummary;
+    use lorentz_core::{Explanation, Recommendation};
+    use lorentz_types::{Capacity, LorentzError, Sku};
 
     fn schema() -> ProfileSchema {
         ProfileSchema::new(vec!["industry", "customer"]).unwrap()
@@ -343,6 +369,117 @@ mod tests {
             parse_client_frame(br#"{"op": "drain"}"#, &schema).unwrap(),
             ClientFrame::Drain
         ));
+    }
+
+    /// A frame the way the tree-based encoder built it: a `Value` map of
+    /// `fields`, in order, written as compact JSON.
+    fn tree_frame(fields: Vec<(&str, Value)>) -> Vec<u8> {
+        let map = fields.into_iter().map(|(k, v)| (k.to_owned(), v));
+        serde_json::to_string(&Value::Map(map.collect()))
+            .unwrap()
+            .into_bytes()
+    }
+
+    fn recommendation() -> Recommendation {
+        Recommendation {
+            sku: Sku::new("gp-8vc", Capacity::scalar(8.0)),
+            stage2_capacity: 5.25,
+            lambda: -0.5,
+            explanation: Explanation::HierarchicalBucket {
+                feature: "industry".into(),
+                value: "bank \"east\"".into(),
+                level: 1,
+                percentile: 95.0,
+                bucket: BucketSummary::from_sorted(&[2.0, 4.0, 8.0]),
+            },
+        }
+    }
+
+    #[test]
+    fn response_frames_keep_their_bytes() {
+        let results = || {
+            [
+                Ok(recommendation()),
+                Err(ServeError::Saturated(64)),
+                Err(ServeError::Draining),
+                Err(ServeError::DeadlineExceeded(1_500)),
+                Err(ServeError::Recommend(LorentzError::NotFound(
+                    "offering\tx".into(),
+                ))),
+                Err(ServeError::Panicked("boom\n".into())),
+                Err(ServeError::Fenced {
+                    term: 2,
+                    observed: 3,
+                }),
+            ]
+        };
+        for degraded in [false, true] {
+            for result in results() {
+                let mut fields = vec![("id", Value::UInt(u64::MAX))];
+                match &result {
+                    Ok(rec) => fields.push(("ok", rec.to_value())),
+                    Err(e) => {
+                        fields.push(("error", Value::Str(e.to_string())));
+                        fields.push(("kind", Value::Str("serve".into())));
+                    }
+                }
+                fields.push(("degraded", Value::Bool(degraded)));
+                fields.push(("latency_ns", Value::UInt(12_345)));
+                let response = ServeResponse {
+                    id: 7,
+                    result,
+                    degraded,
+                    latency_ns: 12_345,
+                };
+                assert_eq!(
+                    String::from_utf8(encode_response(u64::MAX, &response)).unwrap(),
+                    String::from_utf8(tree_frame(fields)).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn error_and_ack_frames_keep_their_bytes() {
+        let message = "bad \"frame\" \\ at byte 3\n";
+        assert_eq!(
+            encode_error(Some(9), "malformed", message),
+            tree_frame(vec![
+                ("id", Value::UInt(9)),
+                ("error", Value::Str(message.into())),
+                ("kind", Value::Str("malformed".into())),
+            ])
+        );
+        assert_eq!(
+            encode_error(None, "frame_too_large", message),
+            tree_frame(vec![
+                ("error", Value::Str(message.into())),
+                ("kind", Value::Str("frame_too_large".into())),
+            ])
+        );
+        for (frame, key, value, text) in [
+            (
+                encode_ack("pong", true),
+                "pong",
+                Value::Bool(true),
+                r#"{"pong":true}"#,
+            ),
+            (
+                encode_ack("ack", "feedback"),
+                "ack",
+                Value::Str("feedback".into()),
+                r#"{"ack":"feedback"}"#,
+            ),
+            (
+                encode_ack("ack", "drain"),
+                "ack",
+                Value::Str("drain".into()),
+                r#"{"ack":"drain"}"#,
+            ),
+        ] {
+            assert_eq!(frame, tree_frame(vec![(key, value)]));
+            assert_eq!(frame, text.as_bytes());
+        }
     }
 
     #[test]

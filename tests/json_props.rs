@@ -1,12 +1,24 @@
 //! Property and pinned tests of the JSON text layer every model file, WAL
 //! record and wire frame goes through: whatever the writer emits reads
-//! back to the same text (compact and pretty), the reader's edge cases —
-//! the nesting limit, 64-bit integer bounds, floats past them, `-0`,
-//! surrogate pairs, escapes, trailing input — are pinned, and the reader
-//! stays linear on large strings and arrays.
+//! back to the same text (compact and pretty), compact text written
+//! straight from a typed value equals the text of its value tree, the
+//! reader's edge cases — the nesting limit, 64-bit integer bounds, floats
+//! past them, `-0`, surrogate pairs, escapes, trailing input — are pinned,
+//! and the reader stays linear on large strings and arrays.
 
+use lorentz::core::explain::BucketSummary;
+use lorentz::core::{
+    Explanation, LorentzConfig, LorentzPipeline, Recommendation, SatisfactionSignal, WalRecord,
+};
+use lorentz::simdata::fleet::FleetConfig;
+use lorentz::types::{
+    Capacity, CustomerId, FeatureId, LambdaDelta, PathKey, ResourceGroupId, ResourcePath,
+    ServerOffering, Sku, StoreKey, SubscriptionId, ValueId,
+};
 use proptest::prelude::*;
-use serde::Value;
+use serde::{Serialize, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
 /// Characters a generated string draws from: the ones the writer escapes,
@@ -82,6 +94,334 @@ proptest! {
         let back = serde_json::parse(&text).unwrap();
         prop_assert_eq!(serde_json::to_string_pretty(&back).unwrap(), text);
     }
+}
+
+/// Draws from a plain generator function.
+struct Sampled<F>(F);
+
+impl<T: Debug, F: Fn(&mut TestRng) -> T> Strategy for Sampled<F> {
+    type Value = T;
+
+    fn sample(&self, rng: &mut TestRng) -> T {
+        (self.0)(rng)
+    }
+}
+
+/// [`float`] plus the non-finite values, which both writers render `null`.
+fn any_float(rng: &mut TestRng) -> f64 {
+    match rng.below(8) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => float(rng),
+    }
+}
+
+fn offering(rng: &mut TestRng) -> ServerOffering {
+    ServerOffering::ALL[rng.below(ServerOffering::ALL.len() as u64) as usize]
+}
+
+fn path(rng: &mut TestRng) -> ResourcePath {
+    ResourcePath::new(
+        CustomerId(rng.next_u64() as u32),
+        SubscriptionId(rng.below(10) as u32),
+        ResourceGroupId(rng.below(10) as u32),
+    )
+}
+
+fn bucket(rng: &mut TestRng) -> BucketSummary {
+    match rng.below(4) {
+        // An empty bucket: NaN min, median and max.
+        0 => BucketSummary::from_sorted(&[]),
+        _ => BucketSummary {
+            size: rng.below(10_000) as usize,
+            min: any_float(rng),
+            median: any_float(rng),
+            max: any_float(rng),
+        },
+    }
+}
+
+fn explanation(rng: &mut TestRng) -> Explanation {
+    match rng.below(4) {
+        0 => Explanation::HierarchicalBucket {
+            feature: string(rng),
+            value: string(rng),
+            level: rng.below(6) as usize,
+            percentile: any_float(rng),
+            bucket: bucket(rng),
+        },
+        1 => Explanation::GlobalFallback {
+            percentile: any_float(rng),
+            bucket: bucket(rng),
+        },
+        2 => Explanation::TargetEncoding {
+            encoded_features: (0..rng.below(4))
+                .map(|_| (string(rng), any_float(rng)))
+                .collect(),
+            prediction_log2: any_float(rng),
+        },
+        _ => Explanation::StoreLookup {
+            key: (rng.below(2) == 0).then(|| {
+                StoreKey::new(
+                    offering(rng),
+                    FeatureId(rng.below(8) as usize),
+                    ValueId(rng.next_u64() as u32),
+                )
+            }),
+            offering: offering(rng),
+        },
+    }
+}
+
+fn recommendation(rng: &mut TestRng) -> Recommendation {
+    Recommendation {
+        sku: Sku::new(
+            string(rng),
+            Capacity::new(
+                (0..=rng.below(3))
+                    .map(|_| float(rng).abs().max(f64::MIN_POSITIVE))
+                    .collect(),
+            )
+            .unwrap(),
+        ),
+        stage2_capacity: any_float(rng),
+        lambda: any_float(rng),
+        explanation: explanation(rng),
+    }
+}
+
+fn signal(rng: &mut TestRng) -> SatisfactionSignal {
+    SatisfactionSignal {
+        path: path(rng),
+        offering: offering(rng),
+        gamma: any_float(rng),
+    }
+}
+
+fn delta(rng: &mut TestRng) -> LambdaDelta {
+    let entries = (0..rng.below(4))
+        .map(|_| {
+            let lambdas = [any_float(rng), any_float(rng), any_float(rng)];
+            (PathKey::new(path(rng)), lambdas)
+        })
+        .collect();
+    LambdaDelta::new(rng.next_u64(), entries)
+}
+
+/// Every shape the derive supports.
+#[derive(Debug, Serialize)]
+enum Shape {
+    Unit,
+    Named {
+        a: f64,
+        #[serde(skip)]
+        skipped: u8,
+        c: String,
+    },
+    One(Vec<u8>),
+    Many(i64, bool, [f64; 3]),
+}
+
+#[derive(Debug, Serialize)]
+struct Skipping {
+    kept: u32,
+    #[serde(skip)]
+    skipped: Vec<f64>,
+    pair: (i8, String),
+    triple: (Option<char>, f32, u64),
+    shapes: Vec<Shape>,
+    newtype: Newtype,
+    tuple: TupleStruct,
+    unit: UnitStruct,
+}
+
+#[derive(Debug, Serialize)]
+struct Newtype(f64);
+
+#[derive(Debug, Serialize)]
+struct TupleStruct(u16, Option<String>);
+
+#[derive(Debug, Serialize)]
+struct UnitStruct;
+
+fn shape(rng: &mut TestRng) -> Shape {
+    match rng.below(4) {
+        0 => Shape::Unit,
+        1 => Shape::Named {
+            a: any_float(rng),
+            skipped: rng.below(256) as u8,
+            c: string(rng),
+        },
+        2 => Shape::One((0..rng.below(4)).map(|_| rng.below(256) as u8).collect()),
+        _ => Shape::Many(
+            rng.next_u64() as i64,
+            rng.below(2) == 0,
+            [any_float(rng), float(rng), -0.0],
+        ),
+    }
+}
+
+fn skipping(rng: &mut TestRng) -> Skipping {
+    let chars: Vec<char> = string(rng).chars().collect();
+    Skipping {
+        kept: rng.next_u64() as u32,
+        skipped: vec![any_float(rng)],
+        pair: (rng.next_u64() as i8, string(rng)),
+        triple: (
+            chars.first().copied(),
+            any_float(rng) as f32,
+            rng.next_u64(),
+        ),
+        shapes: (0..rng.below(5)).map(|_| shape(rng)).collect(),
+        newtype: Newtype(any_float(rng)),
+        tuple: TupleStruct(
+            rng.below(1 << 16) as u16,
+            (rng.below(2) == 0).then(|| string(rng)),
+        ),
+        unit: UnitStruct,
+    }
+}
+
+/// Integer-valued keys ("9" before "10" as numbers, after it as strings)
+/// mixed with arbitrary ones.
+fn hash_map(rng: &mut TestRng) -> HashMap<String, f32> {
+    (0..rng.below(8))
+        .map(|_| {
+            let key = match rng.below(3) {
+                0 => string(rng),
+                _ => rng.below(200).to_string(),
+            };
+            (key, any_float(rng) as f32)
+        })
+        .collect()
+}
+
+fn btree_map(rng: &mut TestRng) -> BTreeMap<u32, Vec<f64>> {
+    (0..rng.below(6))
+        .map(|_| {
+            let values = (0..rng.below(4)).map(|_| any_float(rng)).collect();
+            (rng.next_u64() as u32, values)
+        })
+        .collect()
+}
+
+/// Compact text written straight from `x` equals the text of its tree.
+fn writes_like_its_tree<T: Serialize + ?Sized>(x: &T) -> Result<(), TestCaseError> {
+    let direct = serde_json::to_string(x).unwrap();
+    let tree = serde_json::to_string(&x.to_value()).unwrap();
+    prop_assert_eq!(direct, tree);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Responses, with every explanation, write like their trees.
+    #[test]
+    fn recommendations_write_like_their_trees(rec in Sampled(recommendation)) {
+        writes_like_its_tree(&rec)?;
+    }
+
+    /// WAL records and their parts write like their trees.
+    #[test]
+    fn wal_records_write_like_their_trees(signal in Sampled(signal), delta in Sampled(delta)) {
+        writes_like_its_tree(&signal)?;
+        writes_like_its_tree(&delta)?;
+        writes_like_its_tree(&WalRecord { signal, delta })?;
+    }
+
+    /// Maps write keys in the tree's order: a `BTreeMap` in key order, a
+    /// `HashMap` sorted by key string.
+    #[test]
+    fn maps_write_like_their_trees(b in Sampled(btree_map), h in Sampled(hash_map)) {
+        writes_like_its_tree(&b)?;
+        writes_like_its_tree(&h)?;
+    }
+
+    /// Derived shapes, `#[serde(skip)]`, tuples, options, chars and arrays
+    /// write like their trees.
+    #[test]
+    fn derived_values_write_like_their_trees(s in Sampled(skipping)) {
+        writes_like_its_tree(&s)?;
+        let text = serde_json::to_string(&s).unwrap();
+        prop_assert!(!text.contains("skipped"), "skipped {:?} was written", s.skipped);
+    }
+
+    /// Numbers write exactly as the standard library's `Display`, the
+    /// reference the text format is defined by.
+    #[test]
+    fn numbers_write_as_display(f in Sampled(float), bits in any::<u64>()) {
+        let text = |x: &dyn Serialize| serde_json::to_string(x).unwrap();
+        prop_assert_eq!(text(&f), f.to_string());
+        let narrow = f as f32;
+        if narrow.is_finite() {
+            prop_assert_eq!(text(&narrow), (narrow as f64).to_string());
+        }
+        let small = (bits >> (bits % 64)) as f64 * if bits & 1 == 1 { -1.0 } else { 1.0 };
+        prop_assert_eq!(text(&small), small.to_string());
+        prop_assert_eq!(text(&bits), bits.to_string());
+        prop_assert_eq!(text(&(bits as i64)), (bits as i64).to_string());
+        prop_assert_eq!(text(&(bits as i8)), (bits as i8).to_string());
+        prop_assert_eq!(text(&(bits as usize)), (bits as usize).to_string());
+    }
+
+    /// Every float — `-0.0`, integral, past 1e19, NaN, ±inf — and the
+    /// containers around it write like their trees.
+    #[test]
+    fn floats_write_like_their_trees(f in Sampled(any_float), c in Sampled(|rng: &mut TestRng| {
+        string(rng).chars().next()
+    })) {
+        writes_like_its_tree(&f)?;
+        writes_like_its_tree(&(f as f32))?;
+        writes_like_its_tree(&Some(f))?;
+        writes_like_its_tree(&[f, -f, f * 0.5])?;
+        writes_like_its_tree(&(f, c))?;
+        writes_like_its_tree(&(c, f, vec![f]))?;
+    }
+}
+
+#[test]
+fn strings_escape_exactly_the_json_specials() {
+    let text = serde_json::to_string("a\"\\/\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}é😀").unwrap();
+    assert_eq!(
+        text,
+        r#""a\"\\/\n\r\t\u0000\u0008\u000c\u001f"#.to_owned() + "\u{7f}é😀\""
+    );
+    assert_eq!(serde_json::to_string(&'"').unwrap(), r#""\"""#);
+}
+
+/// The number conventions of the text format, pinned literally: integral
+/// floats carry no fraction, `-0.0` keeps its sign, no exponent is used,
+/// `f32` widens to `f64` first, and non-finite floats are `null`.
+#[test]
+fn number_edges_write_pinned_text() {
+    let text = |x: &dyn Serialize| serde_json::to_string(x).unwrap();
+    assert_eq!(text(&u64::MAX), "18446744073709551615");
+    assert_eq!(text(&i64::MIN), "-9223372036854775808");
+    assert_eq!(text(&1.0), "1");
+    assert_eq!(text(&-0.0), "-0");
+    assert_eq!(text(&1e21), "1000000000000000000000");
+    assert_eq!(text(&0.1f32), "0.10000000149011612");
+    assert_eq!(text(&f64::NEG_INFINITY), "null");
+}
+
+#[test]
+fn trained_model_writes_like_its_tree() {
+    let fleet = FleetConfig {
+        n_servers: 120,
+        seed: 7,
+        ..FleetConfig::default()
+    }
+    .generate()
+    .unwrap()
+    .fleet;
+    let mut config = LorentzConfig::paper_defaults();
+    config.target_encoding.boosting.n_trees = 5;
+    config.hierarchical.min_bucket = 3;
+    let trained = LorentzPipeline::new(config).unwrap().train(&fleet).unwrap();
+    let tree = serde_json::to_string(&trained.to_value()).unwrap();
+    assert_eq!(trained.to_json().unwrap(), tree);
 }
 
 #[test]
