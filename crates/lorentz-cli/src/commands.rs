@@ -77,7 +77,8 @@ USAGE:
                      then that many bytes of JSON): request/feedback objects as in
                      --requests mode, {\"op\": \"ping\"} to probe, {\"op\": \"drain\"} to
                      stop; --shards splits the store and λ-state into N power-of-two
-                     shards so every hot publish touches one shard; the post-drain
+                     shards so every λ publish touches one shard (a store publish
+                     swaps the whole store in one step); the post-drain
                      ledger and net accounting go to stderr; --replicate-listen
                      additionally binds a replication listener that streams the
                      feedback WAL to tcp:// followers, resuming each from its

@@ -65,6 +65,6 @@ pub use retry::{is_transient_io, retry_with_backoff, RetryPolicy};
 pub use rightsizer::{ProvisioningVerdict, RightsizeOutcome, Rightsizer, Stage1Scratch};
 pub use store::{
     DurableStore, PredictionStore, RecoveredStore, ShardedPredictionStore, ShardedStoreSnapshot,
-    SharedPredictionStore, StoreError,
+    StoreError,
 };
 pub use validation::{validate_deployment, DeploymentReport, PublishGate};

@@ -27,8 +27,6 @@
 //! | `serve.store.requests` / `.errors` | counter | store-path requests / failures (single + batched) |
 //! | `serve.store_batch.batches` | counter | store-path batch calls |
 //! | `store.lookup.hits` / `.defaults` / `.misses` | counter | key hit / default fallback / not-found outcomes |
-//! | `store.lookup_batch.span_ns` | histogram | one record per shared-store batch lookup |
-//! | `store.lookup_batch.requests` | counter | requests served through shared-store batch lookups |
 //! | `store.publishes` | counter | successful store publishes |
 //! | `store.save.generations` | counter | snapshot generations committed by the durable store |
 //! | `store.save.retries` | counter | snapshot writes that needed at least one retry |
@@ -107,8 +105,6 @@ pub(crate) static STORE_SERVE_BATCHES: Counter = Counter::new();
 pub(crate) static STORE_HITS: Counter = Counter::new();
 pub(crate) static STORE_DEFAULTS: Counter = Counter::new();
 pub(crate) static STORE_MISSES: Counter = Counter::new();
-pub(crate) static STORE_BATCH_SPAN_NS: Histogram = Histogram::new();
-pub(crate) static STORE_BATCH_REQUESTS: Counter = Counter::new();
 pub(crate) static STORE_PUBLISHES: Counter = Counter::new();
 
 // Durable-store persistence and recovery (`store::durability`).
@@ -236,8 +232,6 @@ pub fn registry() -> &'static Registry {
         r.register_counter("store.lookup.hits", &STORE_HITS);
         r.register_counter("store.lookup.defaults", &STORE_DEFAULTS);
         r.register_counter("store.lookup.misses", &STORE_MISSES);
-        r.register_histogram("store.lookup_batch.span_ns", &STORE_BATCH_SPAN_NS);
-        r.register_counter("store.lookup_batch.requests", &STORE_BATCH_REQUESTS);
         r.register_counter("store.publishes", &STORE_PUBLISHES);
         r.register_counter("store.save.generations", &STORE_SAVE_GENERATIONS);
         r.register_counter("store.save.retries", &STORE_SAVE_RETRIES);

@@ -4,7 +4,7 @@
 //! personalization needs the same λ scores to keep moving while requests
 //! are in flight. [`LambdaStore`] separates the two roles with the same
 //! snapshot discipline as
-//! [`SharedPredictionStore`](crate::SharedPredictionStore), but publishes
+//! [`ShardedPredictionStore`](crate::ShardedPredictionStore), but publishes
 //! *deltas*, not full tables:
 //!
 //! * **Readers** clone an `Arc<LambdaEpoch>` out of a mutex-guarded slot

@@ -157,16 +157,6 @@ impl ShardedLambdaStore {
         }
         *global
     }
-
-    /// Runs `f` against each shard's writer-side personalizer in shard
-    /// order (for reports and persistence — the serve path reads
-    /// snapshots instead).
-    pub fn with_personalizers<R>(&self, mut f: impl FnMut(&Personalizer) -> R) -> Vec<R> {
-        self.shards
-            .iter()
-            .map(|shard| shard.with_personalizer(&mut f))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -12,18 +12,16 @@
 //! [`TrainedLorentz`](super::TrainedLorentz) remain as thin wrappers over
 //! these engines, so existing call sites keep compiling unchanged.
 //!
-//! [`StoreOnly`] can also be pointed at an *external*
-//! [`PredictionStore`] snapshot ([`StoreOnly::with_store`]) — this is how
-//! the concurrent serving engine serves from a hot-swapped
-//! [`SharedPredictionStore`](crate::store::SharedPredictionStore) snapshot
-//! while reusing the deployment's schema, hierarchy, and personalizer.
-//!
-//! Both engines can likewise be pointed at a live
+//! Both engines can also be pointed at a live
 //! [`LambdaSnapshot`](crate::personalizer::LambdaSnapshot)
-//! ([`LiveModel::with_lambdas`] / [`StoreOnly::with_lambdas`]): the Stage-3
-//! adjustment then reads λ from that published snapshot instead of the
-//! deployment's frozen batch personalizer, which is how online feedback
-//! shifts recommendations mid-serve without a model reload.
+//! ([`LiveModel::with_lambdas`] / [`StoreOnly::with_probe_and_lambdas`]):
+//! the Stage-3 adjustment then reads λ from that published snapshot instead
+//! of the deployment's frozen batch personalizer, which is how online
+//! feedback shifts recommendations mid-serve without a model reload.
+//! [`StoreOnly::with_probe_and_lambdas`] also takes an external store
+//! probe — how the concurrent serving engine serves its degraded path from
+//! a pinned [`ShardedStoreSnapshot`] while reusing the deployment's schema,
+//! hierarchy, and personalizer.
 
 use super::{ModelKind, RecommendRequest, TrainedLorentz};
 use crate::explain::{Explanation, Recommendation};
@@ -188,12 +186,11 @@ impl RecommendEngine for LiveModel<'_> {
 /// falling back most-granular-first along the learned hierarchy, then
 /// applies the λ adjustment. Probes use packed integer keys — no string is
 /// built per lookup. Records the `serve.store*` spans and counters.
-/// Generic over the [`StoreProbe`] source: the default `PredictionStore`
-/// keeps every existing signature, while the serving engine's degraded
-/// path instantiates `StoreOnly<'_, ShardedStoreSnapshot>` over its pinned
-/// per-shard snapshots.
+/// Generic over the [`StoreProbe`] source: the deployment's own
+/// `PredictionStore`, or the serving engine's pinned
+/// [`ShardedStoreSnapshot`] on its degraded path.
 #[derive(Debug)]
-pub struct StoreOnly<'a, S: StoreProbe = PredictionStore> {
+pub struct StoreOnly<'a, S: StoreProbe> {
     deployment: &'a TrainedLorentz,
     store: &'a S,
     lambdas: Option<&'a LambdaSnapshot>,
@@ -208,8 +205,7 @@ impl<S: StoreProbe> Clone for StoreOnly<'_, S> {
 impl<S: StoreProbe> Copy for StoreOnly<'_, S> {}
 
 impl<'a, S: StoreProbe> StoreOnly<'a, S> {
-    /// An engine over an arbitrary probe source and a live λ snapshot —
-    /// the fully general constructor the specialized ones delegate to.
+    /// An engine over an arbitrary probe source and a live λ snapshot.
     pub fn with_probe_and_lambdas(
         deployment: &'a TrainedLorentz,
         store: &'a S,
@@ -223,7 +219,7 @@ impl<'a, S: StoreProbe> StoreOnly<'a, S> {
     }
 }
 
-impl<'a> StoreOnly<'a> {
+impl<'a> StoreOnly<'a, PredictionStore> {
     /// An engine over the store `deployment` itself published at train
     /// time.
     pub fn new(deployment: &'a TrainedLorentz) -> Self {
@@ -231,43 +227,6 @@ impl<'a> StoreOnly<'a> {
             deployment,
             store: &deployment.store,
             lambdas: None,
-        }
-    }
-
-    /// An engine over an external store snapshot — e.g. one hot-swapped
-    /// into a [`SharedPredictionStore`](crate::store::SharedPredictionStore)
-    /// after a re-publish — still using `deployment`'s schema, hierarchy
-    /// chain, and personalizer to interpret requests.
-    pub fn with_store(deployment: &'a TrainedLorentz, store: &'a PredictionStore) -> Self {
-        Self {
-            deployment,
-            store,
-            lambdas: None,
-        }
-    }
-
-    /// An engine whose Stage-3 adjustment reads λ from a live published
-    /// snapshot instead of the deployment's batch personalizer.
-    pub fn with_lambdas(deployment: &'a TrainedLorentz, lambdas: &'a LambdaSnapshot) -> Self {
-        Self {
-            deployment,
-            store: &deployment.store,
-            lambdas: Some(lambdas),
-        }
-    }
-
-    /// An engine over both an external store snapshot and a live λ
-    /// snapshot — the mid-serve combination the concurrent serving engine
-    /// uses after hot-swapping either side.
-    pub fn with_store_and_lambdas(
-        deployment: &'a TrainedLorentz,
-        store: &'a PredictionStore,
-        lambdas: &'a LambdaSnapshot,
-    ) -> Self {
-        Self {
-            deployment,
-            store,
-            lambdas: Some(lambdas),
         }
     }
 }

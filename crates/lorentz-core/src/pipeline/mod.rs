@@ -3,8 +3,8 @@
 //! and personalized serving.
 //!
 //! [`LorentzPipeline::train`] is the daily batch job (A→B of Fig. 8),
-//! orchestrated as a sequence of [`stages`] over a shared
-//! [`TrainContext`](context::TrainContext); the per-offering Stage-2 models
+//! orchestrated as a sequence of `stages` over a shared
+//! [`TrainContext`]; the per-offering Stage-2 models
 //! train concurrently on scoped threads. [`TrainedLorentz`] is the serving
 //! surface, answering [`RecommendRequest`]s one at a time or in batches
 //! through a [`RecommendEngine`] — [`LiveModel`] for Stage-2 inference or
@@ -365,15 +365,8 @@ impl TrainedLorentz {
 
     /// The store-backed serving engine over this deployment's published
     /// store.
-    pub fn store_engine(&self) -> StoreOnly<'_> {
+    pub fn store_engine(&self) -> StoreOnly<'_, PredictionStore> {
         StoreOnly::new(self)
-    }
-
-    /// A store-backed serving engine over an *external* store snapshot
-    /// (e.g. one hot-swapped after a re-publish), still interpreting
-    /// requests with this deployment's schema, hierarchy, and personalizer.
-    pub fn store_engine_with<'a>(&'a self, store: &'a PredictionStore) -> StoreOnly<'a> {
-        StoreOnly::with_store(self, store)
     }
 
     /// A live-model engine whose Stage-3 adjustment reads λ from a
@@ -385,12 +378,6 @@ impl TrainedLorentz {
         lambdas: &'a LambdaSnapshot,
     ) -> LiveModel<'a> {
         LiveModel::with_lambdas(self, kind, lambdas)
-    }
-
-    /// A store-backed engine reading λ from a published [`LambdaSnapshot`]
-    /// (over this deployment's own prediction store).
-    pub fn store_engine_with_lambdas<'a>(&'a self, lambdas: &'a LambdaSnapshot) -> StoreOnly<'a> {
-        StoreOnly::with_lambdas(self, lambdas)
     }
 
     /// Serves a recommendation through a live Stage-2 model, then applies
@@ -791,8 +778,7 @@ mod tests {
         assert_eq!(live.stage2_capacity, 16.0, "stage-2 output unchanged");
 
         // The store-backed engine applies the same live λ.
-        let stored = t
-            .store_engine_with_lambdas(&snap)
+        let stored = StoreOnly::with_probe_and_lambdas(&t, t.store(), &snap)
             .recommend_one(&req)
             .unwrap();
         assert_eq!(stored.sku.capacity, live.sku.capacity);

@@ -209,138 +209,6 @@ impl Deserialize for PredictionStore {
     }
 }
 
-/// A thread-safe handle over a [`PredictionStore`] for concurrent serving:
-/// many simultaneous readers, with publishes swapping the entry set
-/// atomically — the in-process analogue of the §4 online store's
-/// copy-then-switch deployment.
-///
-/// Internally the store is an immutable snapshot behind an
-/// `Arc`: readers take a mutex only long enough to clone the `Arc` out of
-/// the slot (a reference-count bump, no data copy), then probe the snapshot
-/// entirely lock-free. A [`publish`](SharedPredictionStore::publish) builds
-/// the next snapshot off to the side and swaps it into the slot, so readers
-/// never wait on a publisher and a publisher never waits for readers to
-/// drain — the zero-downtime re-publish primitive the serving engine is
-/// built on.
-#[derive(Debug, Default)]
-pub struct SharedPredictionStore {
-    slot: parking_lot::Mutex<std::sync::Arc<PredictionStore>>,
-}
-
-impl SharedPredictionStore {
-    /// Creates an empty shared store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an existing store.
-    pub fn from_store(store: PredictionStore) -> Self {
-        Self {
-            slot: parking_lot::Mutex::new(std::sync::Arc::new(store)),
-        }
-    }
-
-    /// Atomically replaces the contents (readers see either the old or the
-    /// new version, never a mix). In-flight lookups keep their snapshot
-    /// alive through its `Arc` and finish against the old version; the old
-    /// snapshot is freed when the last such reader drops it.
-    ///
-    /// # Errors
-    /// Returns [`LorentzError::InvalidConfig`] for invalid batches; the
-    /// previous contents remain served.
-    pub fn publish(&self, batch: PublishBatch) -> Result<u64, LorentzError> {
-        // Validate and build outside the slot lock so readers are blocked
-        // only for the pointer swap itself.
-        let mut staged = PredictionStore::new();
-        staged.publish(batch)?;
-        let mut guard = self.slot.lock();
-        // Publishers serialize on the slot lock, which keeps versions
-        // monotone regardless of how many publish concurrently.
-        staged.version = guard.version + 1;
-        let v = staged.version;
-        *guard = std::sync::Arc::new(staged);
-        Ok(v)
-    }
-
-    /// The current snapshot: a cheap `Arc` clone of the published store
-    /// (reference-count bump, no data copy). The snapshot is immutable —
-    /// concurrent publishes swap in a *new* snapshot and never touch one
-    /// already handed out, so holders can probe it lock-free for as long as
-    /// they like at whatever version they captured.
-    pub fn snapshot(&self) -> std::sync::Arc<PredictionStore> {
-        self.slot.lock().clone()
-    }
-
-    /// Serves a lookup against the current snapshot, counting the outcome
-    /// into the `store.lookup.{hits,defaults,misses}` counters.
-    ///
-    /// # Errors
-    /// See [`PredictionStore::lookup`].
-    pub fn lookup(
-        &self,
-        offering: ServerOffering,
-        levels: &[(FeatureId, ValueId)],
-    ) -> Result<(f64, Explanation), LorentzError> {
-        let result = self.snapshot().lookup(offering, levels);
-        match &result {
-            Ok((_, Explanation::StoreLookup { key: Some(_), .. })) => obs::STORE_HITS.inc(),
-            Ok(_) => obs::STORE_DEFAULTS.inc(),
-            Err(_) => obs::STORE_MISSES.inc(),
-        }
-        result
-    }
-
-    /// Serves many lookups against one snapshot, appending one result per
-    /// request to `out`. All results come from the same store version — the
-    /// snapshot is captured once for the whole batch — and the metrics are
-    /// amortized with it: one `store.lookup_batch.span_ns` observation and
-    /// one update per outcome counter, tallied from the appended results.
-    pub fn lookup_batch(
-        &self,
-        requests: &[(ServerOffering, &[(FeatureId, ValueId)])],
-        out: &mut Vec<Result<(f64, Explanation), LorentzError>>,
-    ) {
-        let span = obs::STORE_BATCH_SPAN_NS.span();
-        let start = out.len();
-        {
-            let snapshot = self.snapshot();
-            out.extend(
-                requests
-                    .iter()
-                    .map(|&(offering, levels)| snapshot.lookup(offering, levels)),
-            );
-        }
-        drop(span);
-        let (mut hits, mut defaults, mut misses) = (0u64, 0u64, 0u64);
-        for result in &out[start..] {
-            match result {
-                Ok((_, Explanation::StoreLookup { key: Some(_), .. })) => hits += 1,
-                Ok(_) => defaults += 1,
-                Err(_) => misses += 1,
-            }
-        }
-        obs::STORE_BATCH_REQUESTS.add(requests.len() as u64);
-        obs::STORE_HITS.add(hits);
-        obs::STORE_DEFAULTS.add(defaults);
-        obs::STORE_MISSES.add(misses);
-    }
-
-    /// Current data version.
-    pub fn version(&self) -> u64 {
-        self.snapshot().version
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,7 +346,7 @@ mod tests {
 
     #[test]
     fn shared_store_serves_consistent_versions_under_concurrent_publish() {
-        let shared = SharedPredictionStore::from_store(store());
+        let shared = ShardedPredictionStore::from_store(&store(), 4).unwrap();
         let batch_for = |capacity: f64| PublishBatch {
             entries: vec![(
                 key(ServerOffering::GeneralPurpose, VERTICAL, INSURANCE),
@@ -494,39 +362,35 @@ mod tests {
                     shared.publish(batch_for(cap)).unwrap();
                 }
             });
-            // Readers: the key and the default always agree within one read
-            // world (both 4 or both 64 after the first publish). The batch
-            // lookup holds one read lock, so the pair can never tear.
+            // Readers: the key and the default always agree within one
+            // pinned snapshot (both 4 or both 64 after the first publish).
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..200 {
-                        let mut results = Vec::new();
-                        shared.lookup_batch(
-                            &[
-                                (ServerOffering::GeneralPurpose, &[(VERTICAL, INSURANCE)][..]),
-                                (ServerOffering::GeneralPurpose, &[(VERTICAL, UNKNOWN)][..]),
-                            ],
-                            &mut results,
-                        );
-                        let (hit, _) = results[0].as_ref().unwrap();
-                        let (fallback, _) = results[1].as_ref().unwrap();
+                        let snapshot = shared.snapshot();
+                        let (hit, _) = snapshot
+                            .lookup(ServerOffering::GeneralPurpose, &[(VERTICAL, INSURANCE)])
+                            .unwrap();
+                        let (fallback, _) = snapshot
+                            .lookup(ServerOffering::GeneralPurpose, &[(VERTICAL, UNKNOWN)])
+                            .unwrap();
                         // Initial world: hit 8 / default 2; published
                         // worlds: 4/4 or 64/64.
-                        let consistent = (*hit == 8.0 && *fallback == 2.0)
-                            || (hit == fallback && (*hit == 4.0 || *hit == 64.0));
+                        let consistent = (hit == 8.0 && fallback == 2.0)
+                            || (hit == fallback && (hit == 4.0 || hit == 64.0));
                         assert!(consistent, "torn read: hit {hit}, fallback {fallback}");
                     }
                 });
             }
             publisher.join().unwrap();
         });
-        assert!(shared.version() >= 51); // base store was already v1
-        assert_eq!(shared.len(), 1);
+        assert_eq!(shared.version(), 51); // base store was already v1
+        assert_eq!(shared.snapshot().len(), 1);
     }
 
     #[test]
     fn snapshots_are_immutable_arcs_surviving_publish() {
-        let shared = SharedPredictionStore::from_store(store());
+        let shared = ShardedPredictionStore::from_store(&store(), 4).unwrap();
         let before = shared.snapshot();
         let v_before = before.version();
         shared.publish(PublishBatch::default()).unwrap();
@@ -542,19 +406,19 @@ mod tests {
         assert_eq!(after.version(), v_before + 1);
         assert!(!std::sync::Arc::ptr_eq(&before, &after));
         // Without an intervening publish, snapshotting is a pure refcount
-        // bump on the same allocation.
+        // bump on the one slot's allocation.
         assert!(std::sync::Arc::ptr_eq(&after, &shared.snapshot()));
     }
 
     #[test]
     fn shared_store_versions_are_monotone() {
-        let shared = SharedPredictionStore::new();
+        let shared = ShardedPredictionStore::new(4).unwrap();
         let v1 = shared.publish(PublishBatch::default()).unwrap();
         let v2 = shared.publish(PublishBatch::default()).unwrap();
         assert!(v2 > v1);
         assert_eq!(shared.version(), v2);
-        assert!(shared.is_empty());
         let snap = shared.snapshot();
+        assert!(snap.is_empty());
         assert_eq!(snap.version(), v2);
     }
 }

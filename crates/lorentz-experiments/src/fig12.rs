@@ -44,7 +44,7 @@ fn subsample_keep(scale: Scale) -> f64 {
 }
 
 /// Runs the experiment: evaluate both models with the full training split
-/// and with a small subsample (see [`subsample_keep`]).
+/// and with a small subsample (see `subsample_keep`).
 pub fn run(scale: Scale) -> Fig12Result {
     let keep = subsample_keep(scale);
     common::banner(

@@ -64,9 +64,9 @@ struct Supervisor {
 struct Shared {
     deployment: Arc<TrainedLorentz>,
     /// The hot-swap store: seeded from the deployment's published store at
-    /// startup, split across `config.shards` per-shard snapshot slots,
-    /// re-published through [`ServingEngine::publish`] with zero reader
-    /// downtime.
+    /// startup, its entries split by route across `config.shards` shards,
+    /// re-published whole through [`ServingEngine::publish`] with zero
+    /// reader downtime.
     store: ShardedPredictionStore,
     /// The live λ-state: seeded from the deployment's batch personalizer,
     /// sharded by customer, advanced by the λ-writer as feedback arrives
@@ -754,11 +754,12 @@ fn serve_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
         // changes later requests, never this one.
         let lambdas = shared.lambdas.snapshot_for(&request.path);
         let served = if degraded {
-            // Serve from the hot-swap snapshot: the per-shard Arc clones
-            // pin one consistent store world for this request, publishes
-            // land in later snapshots.
+            // Serve from the hot-swap store: the snapshot pins one whole
+            // published version for this request, every key and default
+            // from the same publish; later publishes land in later
+            // snapshots.
             let snapshot = shared.store.snapshot();
-            StoreOnly::with_probe_and_lambdas(&shared.deployment, &snapshot, &lambdas)
+            StoreOnly::with_probe_and_lambdas(&shared.deployment, &*snapshot, &lambdas)
                 .recommend_one(&borrowed)
         } else {
             shared

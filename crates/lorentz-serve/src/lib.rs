@@ -6,7 +6,7 @@
 //! crate owns that hot path:
 //!
 //! * **Hot-swap snapshots** — the engine serves store lookups from
-//!   [`SharedPredictionStore`](lorentz_core::SharedPredictionStore)
+//!   [`ShardedPredictionStore`](lorentz_core::ShardedPredictionStore)
 //!   snapshots: readers clone an `Arc` out of a mutex-guarded slot (the
 //!   lock is held only for the refcount bump) and probe an immutable store
 //!   version lock-free, while [`ServingEngine::publish`] swaps in a fresh
@@ -73,11 +73,11 @@
 //! * **Sharded state** — with [`ServeConfig::shards`] > 1 the prediction
 //!   store and λ-state split into power-of-two shards selected by a
 //!   multiply-fold hash of the packed key
-//!   ([`ShardRouter`](lorentz_types::ShardRouter)); a store hot-swap or
-//!   λ-delta publish touches exactly one shard's `Arc` slot, so publishes
-//!   to different shards never contend and readers on the other shards
-//!   never see so much as a cache-line bounce. λ epochs stay globally
-//!   minted, so the WAL/follower protocol is unchanged.
+//!   ([`ShardRouter`](lorentz_types::ShardRouter)); a λ-delta publish
+//!   touches exactly one shard's `Arc` slot, so λ publishes to different
+//!   shards never contend. A store hot-swap stays one pointer swap of a
+//!   whole version. λ epochs stay globally minted, so the WAL/follower
+//!   protocol is unchanged.
 //! * **TCP front end** — [`serve_net`] serves the engine over persistent
 //!   TCP connections speaking the length-prefixed JSON frame protocol in
 //!   [`wire`]: one acceptor, a reader + writer thread per connection, a

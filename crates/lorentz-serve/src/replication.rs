@@ -12,9 +12,10 @@
 //! is exactly what the handshake is for).
 //!
 //! The frames on the socket are **byte-identical to the leader's on-disk
-//! WAL frames** (CRC32C-framed by [`wal_codec`]): the follower can append
-//! them verbatim to a local log and later restart from it, and torn sends
-//! are caught by the same checksum that catches torn disk writes.
+//! WAL frames** (CRC32C-framed by
+//! [`wal_codec`](lorentz_core::personalizer::wal_codec)): the follower can
+//! append them verbatim to a local log and later restart from it, and torn
+//! sends are caught by the same checksum that catches torn disk writes.
 //!
 //! Every subscribe carries the follower's highest **observed leader term**
 //! and every ack carries the leader's own term. A leader contacted with a

@@ -32,7 +32,7 @@ pub struct ServeConfig {
     pub restart_backoff: Duration,
     /// Power-of-two shard count for the hot-swap prediction store and the
     /// λ-state. 1 (the default) degenerates to the unsharded engine; larger
-    /// counts make every store hot-swap and λ-delta a single-shard publish.
+    /// counts make every λ-delta a single-shard publish.
     pub shards: usize,
 }
 

@@ -9,7 +9,7 @@
 //! This crate provides:
 //!
 //! * [`RawSeries`] — validated irregular samples;
-//! * [`Aggregator`] + [`bin_series`](binning::bin_series) — the Eq. 2 binning
+//! * [`Aggregator`] + [`bin_series`] — the Eq. 2 binning
 //!   with pluggable aggregation and empty-bin policies;
 //! * [`RegularSeries`] — the binned signal `w[n]`;
 //! * [`UsageTrace`] — a multi-resource bundle of series aligned with a

@@ -1,6 +1,6 @@
 //! Capacity vectors.
 //!
-//! A [`Capacity`] is a point in a [`ResourceSpace`](crate::ResourceSpace):
+//! A [`Capacity`] is a point in a [`ResourceSpace`]:
 //! one provisioned amount per resource dimension, e.g. `[4 vCores, 16 GB]`
 //! (the paper's `c`, `c⁰`, `ĉ⁰`, `c*`, `c**`). Capacities support the
 //! element-wise comparisons the rightsizer needs (`dominates`,
@@ -15,7 +15,7 @@ use std::fmt;
 /// A provisioned (or candidate) amount of each resource dimension.
 ///
 /// Entries are aligned with the dimensions of the owning
-/// [`ResourceSpace`](crate::ResourceSpace); `Capacity` itself stores only the
+/// [`ResourceSpace`]; `Capacity` itself stores only the
 /// numbers so that it stays cheap to copy around hot loops.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Capacity {

@@ -131,9 +131,10 @@ pub enum StoreCorruption {
 /// Why a λ-delta record could not be applied.
 ///
 /// Mirrors [`StoreCorruption`] for the replication path: each variant is
-/// one integrity check performed when a packed [`LambdaDelta`]
-/// (`crate::LambdaDelta`) is decoded or applied to a follower store, so
-/// `lorentz wal-verify` and the follower can say which check failed.
+/// one integrity check performed when a packed
+/// [`LambdaDelta`](crate::LambdaDelta) is decoded or applied to a follower
+/// store, so `lorentz wal-verify` and the follower can say which check
+/// failed.
 #[derive(Debug, Error, Clone, PartialEq, Eq)]
 pub enum DeltaCorruption {
     /// The packed delta is shorter than its header or declared entries.

@@ -1,17 +1,11 @@
-//! Concurrency tests for the serving engine and the hot-swap store:
-//! torn-read freedom under concurrent publish, graceful-drain accounting,
-//! backpressure, deadlines, and degraded mode.
+//! Concurrency tests for the serving engine: graceful-drain accounting,
+//! backpressure, deadlines, hot-swap publish, and degraded mode.
 
 use lorentz::core::store::PublishBatch;
-use lorentz::core::{SatisfactionSignal, SharedPredictionStore, TrainedLorentz};
+use lorentz::core::{SatisfactionSignal, TrainedLorentz};
 use lorentz::serve::{ServeConfig, ServeError, ServeRequest, ServingEngine};
-use lorentz::types::{
-    CustomerId, FeatureId, ResourceGroupId, ResourcePath, ServerOffering, StoreKey, SubscriptionId,
-    ValueId,
-};
-use proptest::prelude::*;
+use lorentz::types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,77 +21,6 @@ fn request(deployment: &TrainedLorentz, id: u64) -> ServeRequest {
         offering: ServerOffering::GeneralPurpose,
         path: ResourcePath::new(CustomerId(0), SubscriptionId(0), ResourceGroupId(0)),
         deadline: None,
-    }
-}
-
-/// Publishes `n_keys` entries that ALL carry the same capacity `c` (plus a
-/// matching default), so any mix of two store versions in one batched
-/// lookup shows up as unequal capacities.
-fn publish_uniform(store: &SharedPredictionStore, n_keys: usize, c: f64) -> u64 {
-    let offering = ServerOffering::GeneralPurpose;
-    store
-        .publish(PublishBatch {
-            entries: (0..n_keys)
-                .map(|i| (StoreKey::new(offering, FeatureId(i), ValueId(i as u32)), c))
-                .collect(),
-            defaults: vec![(offering, c)],
-        })
-        .unwrap()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// A `lookup_batch` racing an arbitrary stream of publishes always
-    /// observes a single consistent store version: every capacity in one
-    /// batch is identical (all versions write uniform values, so a torn
-    /// read would mix them), and the version sequence readers observe is
-    /// monotone.
-    #[test]
-    fn concurrent_publish_and_lookup_batch_never_tear(
-        n_keys in 1usize..6,
-        n_publishes in 1usize..24,
-    ) {
-        let store = Arc::new(SharedPredictionStore::new());
-        publish_uniform(&store, n_keys, 1.0);
-        let done = Arc::new(AtomicBool::new(false));
-        let publisher = {
-            let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                for round in 0..n_publishes {
-                    publish_uniform(&store, n_keys, 2.0 + round as f64);
-                }
-                done.store(true, Ordering::Release);
-            })
-        };
-        let offering = ServerOffering::GeneralPurpose;
-        let levels: Vec<[(FeatureId, ValueId); 1]> = (0..n_keys)
-            .map(|i| [(FeatureId(i), ValueId(i as u32))])
-            .collect();
-        let requests: Vec<(ServerOffering, &[(FeatureId, ValueId)])> =
-            levels.iter().map(|l| (offering, &l[..])).collect();
-        let mut out = Vec::new();
-        let mut last_version = 0u64;
-        let mut rounds = 0usize;
-        while rounds < 2 || !done.load(Ordering::Acquire) {
-            rounds += 1;
-            let version = store.version();
-            prop_assert!(version >= last_version, "version went backwards");
-            last_version = version;
-            out.clear();
-            store.lookup_batch(&requests, &mut out);
-            let capacities: Vec<f64> = out
-                .iter()
-                .map(|r| r.as_ref().expect("uniform store always hits").0)
-                .collect();
-            for &c in &capacities[1..] {
-                // A torn read would mix uniform values from two versions.
-                prop_assert_eq!(c, capacities[0]);
-            }
-        }
-        publisher.join().unwrap();
-        prop_assert_eq!(store.version(), 1 + n_publishes as u64);
     }
 }
 

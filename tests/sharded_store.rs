@@ -1,7 +1,8 @@
 //! Property-based concurrency tests for the sharded serving state: shard
 //! routing totality/stability, sharded ≡ unsharded lookup equivalence for
-//! arbitrary key sets, torn-read freedom under racing per-shard publishes,
-//! and sharded ≡ flat λ equivalence under random signal streams.
+//! arbitrary key sets, torn-read freedom of pinned snapshots under racing
+//! full publishes, and sharded ≡ flat λ equivalence under random signal
+//! streams.
 
 use lorentz::core::store::PublishBatch;
 use lorentz::core::{
@@ -27,10 +28,10 @@ fn store_key() -> impl Strategy<Value = StoreKey> {
         .prop_map(|(o, f, v)| StoreKey::new(o, FeatureId(f as usize), ValueId(v)))
 }
 
-/// Power-of-two shard counts across the supported range (including the
-/// 1-shard degenerate case and a deliberately large count).
-fn shard_count() -> impl Strategy<Value = usize> {
-    (0u32..=10).prop_map(|log2| 1usize << log2)
+/// Power-of-two shard counts from the 1-shard degenerate case up to
+/// `1 << max_log2`.
+fn shard_count(max_log2: u32) -> impl Strategy<Value = usize> {
+    (0..=max_log2).prop_map(|log2| 1usize << log2)
 }
 
 proptest! {
@@ -39,7 +40,7 @@ proptest! {
     /// the u128 path routing obeys the same contract.
     #[test]
     fn shard_routing_is_total_and_stable(
-        shards in shard_count(),
+        shards in shard_count(10),
         keys in collection::vec(any::<u64>(), 1..64),
         path_key_halves in collection::vec((any::<u64>(), any::<u64>()), 1..64),
     ) {
@@ -66,7 +67,7 @@ proptest! {
     /// probing present keys, absent keys, and the default fallback.
     #[test]
     fn sharded_lookup_matches_unsharded_for_arbitrary_key_sets(
-        shards in shard_count(),
+        shards in shard_count(10),
         entries in collection::vec((store_key(), 0.1f64..100.0), 1..48),
         default_capacity in (any::<bool>(), 0.1f64..100.0).prop_map(|(some, c)| some.then_some(c)),
         probe_offering in offering(),
@@ -89,12 +90,12 @@ proptest! {
         flat.publish(batch.clone()).unwrap();
         let sharded = ShardedPredictionStore::new(shards).unwrap();
         sharded.publish(batch).unwrap();
-        prop_assert_eq!(sharded.len(), flat.len());
+        let snapshot = sharded.snapshot();
+        prop_assert_eq!(snapshot.len(), flat.len());
         // Probe every published key at its own level, an absent key, and
         // a multi-level stack that falls through to the default.
         // `LorentzError` is not `PartialEq`; the debug rendering pins the
         // full result — capacity, explanation, and error message alike.
-        let snapshot = sharded.snapshot();
         for (key, _) in &entries {
             let (offering, feature, value) = (key.offering, key.feature, key.value);
             let levels = [(feature, value)];
@@ -115,93 +116,67 @@ proptest! {
     }
 }
 
-/// A batch that fills `shard` of an N-shard store with uniform capacity
-/// `c`: every key from the pool that routes to `shard`.
-fn shard_batch(pool: &[StoreKey], router: &ShardRouter, shard: usize, c: f64) -> PublishBatch {
-    PublishBatch {
-        entries: pool
-            .iter()
-            .filter(|k| router.route_u64(k.pack()) == shard)
-            .map(|&k| (k, c))
-            .collect(),
-        defaults: Vec::new(),
-    }
+/// Publishes `n_keys` entries that all carry capacity `c`, plus a matching
+/// default, so a snapshot mixing two versions shows unequal capacities.
+fn publish_uniform(store: &ShardedPredictionStore, n_keys: usize, c: f64) -> u64 {
+    let offering = ServerOffering::GeneralPurpose;
+    store
+        .publish(PublishBatch {
+            entries: (0..n_keys)
+                .map(|i| (StoreKey::new(offering, FeatureId(i), ValueId(i as u32)), c))
+                .collect(),
+            defaults: vec![(offering, c)],
+        })
+        .unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A cross-shard `lookup_batch` racing a stream of per-shard publishes
-    /// never observes a torn shard: the hot shard's keys always carry ONE
-    /// publish's uniform value, the untouched shards never move off their
-    /// seed value, and the store version stays monotone.
+    /// A snapshot pinned while an arbitrary stream of full publishes races
+    /// it always holds one version, at any shard count: every key and the
+    /// per-offering default carry one publish's uniform capacity, and the
+    /// versions readers pin are monotone.
     #[test]
-    fn per_shard_publish_never_tears_cross_shard_batches(
-        n_publishes in 1usize..24,
-        hot_shard in 0usize..8,
+    fn full_publish_never_tears_a_pinned_snapshot(
+        shards in shard_count(3),
+        n_keys in 1usize..48,
+        n_publishes in 1usize..400,
     ) {
-        let shards = 8usize;
-        let router = ShardRouter::new(shards).unwrap();
-        // Enough keys that every shard owns a few.
-        let pool: Vec<StoreKey> = (0..64)
-            .map(|i| StoreKey::new(ServerOffering::GeneralPurpose, FeatureId(i), ValueId(i as u32)))
-            .collect();
         let store = Arc::new(ShardedPredictionStore::new(shards).unwrap());
-        store
-            .publish(PublishBatch {
-                entries: pool.iter().map(|&k| (k, 1.0)).collect(),
-                defaults: Vec::new(),
-            })
-            .unwrap();
+        publish_uniform(&store, n_keys, 1.0);
         let done = Arc::new(AtomicBool::new(false));
         let publisher = {
             let store = Arc::clone(&store);
             let done = Arc::clone(&done);
-            let pool = pool.clone();
             std::thread::spawn(move || {
                 for round in 0..n_publishes {
-                    store
-                        .publish_shard(
-                            hot_shard,
-                            shard_batch(&pool, &router, hot_shard, 2.0 + round as f64),
-                        )
-                        .unwrap();
+                    publish_uniform(&store, n_keys, 2.0 + round as f64);
                 }
                 done.store(true, Ordering::Release);
             })
         };
-        let levels: Vec<[(FeatureId, ValueId); 1]> = pool
-            .iter()
-            .map(|k| [(k.feature, k.value)])
+        let offering = ServerOffering::GeneralPurpose;
+        // Every key at its own level, then no level at all (the default).
+        let mut levels: Vec<Vec<(FeatureId, ValueId)>> = (0..n_keys)
+            .map(|i| vec![(FeatureId(i), ValueId(i as u32))])
             .collect();
-        let requests: Vec<(ServerOffering, &[(FeatureId, ValueId)])> = levels
-            .iter()
-            .map(|l| (ServerOffering::GeneralPurpose, &l[..]))
-            .collect();
-        let mut out = Vec::new();
+        levels.push(Vec::new());
         let mut last_version = 0u64;
         let mut rounds = 0usize;
         while rounds < 2 || !done.load(Ordering::Acquire) {
             rounds += 1;
-            let version = store.version();
+            let snapshot = store.snapshot();
+            let version = snapshot.version();
             prop_assert!(version >= last_version, "version went backwards");
             last_version = version;
-            out.clear();
-            store.lookup_batch(&requests, &mut out);
-            let mut hot_value: Option<f64> = None;
-            for (key, result) in pool.iter().zip(&out) {
-                let (capacity, _) = result.as_ref().expect("every pool key is resident");
-                if router.route_u64(key.pack()) == hot_shard {
-                    // All hot-shard keys in one pinned batch agree: a torn
-                    // read would mix uniform values from two publishes.
-                    // A torn read would mix uniform values from two
-                    // publishes inside one pinned batch.
-                    let expected = *hot_value.get_or_insert(*capacity);
-                    prop_assert_eq!(*capacity, expected);
-                } else {
-                    // Untouched shards never move off their seed value.
-                    prop_assert_eq!(*capacity, 1.0);
-                }
+            let capacities: Vec<f64> = levels
+                .iter()
+                .map(|l| snapshot.lookup(offering, l).expect("uniform store always answers").0)
+                .collect();
+            for &c in &capacities[1..] {
+                // A torn snapshot would mix uniform values from two versions.
+                prop_assert_eq!(c, capacities[0]);
             }
         }
         publisher.join().unwrap();
@@ -214,7 +189,7 @@ proptest! {
     #[test]
     fn sharded_lambdas_match_flat_under_random_signals(
         signals in collection::vec((0u32..24, -1.0f64..=1.0), 1..16),
-        shards in shard_count(),
+        shards in shard_count(10),
     ) {
         let mut personalizer = Personalizer::new(PersonalizerConfig::default()).unwrap();
         for customer in 0..24 {
