@@ -190,9 +190,25 @@ impl SignalWal {
             .truncate(false)
             .open(&path)
             .map_err(&io_err)?;
-        let mut bytes = Vec::new();
+        let len = file.metadata().map_err(&io_err)?.len();
+        let mut bytes = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
         file.read_to_end(&mut bytes).map_err(&io_err)?;
-        let (entries, good_len) = parse_frames(&bytes);
+        // Walk the intact prefix, keeping only what recovery needs: each
+        // delta is dropped as soon as its epoch is read. Any violation
+        // ends the walk there; everything after it is the torn tail.
+        let (mut signals, mut last_epoch, mut last_term) = (Vec::new(), 0, 0);
+        let mut good_len = 0;
+        while let Some(Ok((entry, end))) = next_frame(&bytes, good_len) {
+            match entry {
+                WalEntry::Record(r) => {
+                    signals.push(r.signal);
+                    last_epoch = last_epoch.max(r.delta.epoch);
+                }
+                WalEntry::Term(t) => last_term = last_term.max(t),
+            }
+            obs::WAL_REPLAYED.inc();
+            good_len = end;
+        }
         let torn_tail_bytes = bytes.len() - good_len;
         if torn_tail_bytes > 0 {
             file.set_len(good_len as u64).map_err(&io_err)?;
@@ -200,14 +216,6 @@ impl SignalWal {
         }
         file.seek(SeekFrom::Start(good_len as u64))
             .map_err(&io_err)?;
-        obs::WAL_REPLAYED.add(entries.len() as u64);
-        let last_epoch = entries
-            .iter()
-            .filter_map(WalEntry::epoch)
-            .max()
-            .unwrap_or(0);
-        let last_term = entries.iter().filter_map(WalEntry::term).max().unwrap_or(0);
-        let signals = entries.iter().filter_map(|e| e.signal().copied()).collect();
         Ok((
             Self { path, file, retry },
             WalRecovery {
@@ -617,19 +625,6 @@ pub fn next_frame(
             Some(Err(StoreCorruption::ChecksumMismatch { expected, actual }))
         }
     }
-}
-
-/// Walks the log bytes frame by frame, returning every intact entry and
-/// the byte offset where the intact prefix ends. Any violation ends the
-/// walk there: everything after it is the torn tail.
-fn parse_frames(bytes: &[u8]) -> (Vec<WalEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut offset = 0usize;
-    while let Some(Ok((entry, end))) = next_frame(bytes, offset) {
-        entries.push(entry);
-        offset = end;
-    }
-    (entries, offset)
 }
 
 /// Interprets a fired `personalizer.wal.append` action: `partial(FRAC)`

@@ -461,13 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32c_matches_known_vector() {
-        // The canonical CRC32C check value (RFC 3720 appendix B.4 style).
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
-    }
-
-    #[test]
     fn frame_round_trips_and_detects_each_corruption() {
         let framed = frame_snapshot(b"hello store");
         assert_eq!(unframe_snapshot(&framed).unwrap(), b"hello store");

@@ -498,4 +498,19 @@ mod tests {
             assert_eq!(err.kind(), "malformed", "payload: {garbage:?}");
         }
     }
+
+    #[test]
+    fn ids_past_u64_are_malformed_not_saturated() {
+        let schema = schema();
+        for frame in [&br#"{"id": 1e20}"#[..], br#"{"id": 18446744073709551616}"#] {
+            let err = parse_client_frame(frame, &schema).unwrap_err();
+            assert_eq!(err.kind(), "malformed", "payload: {frame:?}");
+            assert!(
+                err.to_string().contains("id must be an unsigned integer"),
+                "{err}"
+            );
+        }
+        let max = parse_client_frame(br#"{"id": 18446744073709551615}"#, &schema).unwrap();
+        assert!(matches!(max, ClientFrame::Request(r) if r.id == u64::MAX));
+    }
 }

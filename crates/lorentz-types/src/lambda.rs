@@ -22,7 +22,7 @@
 use crate::error::DeltaCorruption;
 use crate::offering::ServerOffering;
 use crate::pathkey::PathKey;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonReader, Serialize, Value};
 
 /// Per-stratum λ values for one resource path, indexed by
 /// [`ServerOffering::ALL`] position.
@@ -161,6 +161,31 @@ impl Deserialize for LambdaDelta {
             entries.push((key, lambdas));
         }
         Ok(LambdaDelta { epoch, entries })
+    }
+
+    /// Reads the fields straight from the text. As with `get_field`, the
+    /// first occurrence of a field counts and unknown fields are skipped.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
+        if r.peek() != Some(b'{') {
+            return Self::from_value(&r.read_value()?);
+        }
+        let (mut epoch, mut entries) = (None, None);
+        let mut key = r.begin_map()?;
+        while let Some(k) = key {
+            match &*k {
+                "epoch" if epoch.is_none() => epoch = Some(u64::read_json(r)?),
+                // Exactly what `from_value` takes: a sequence of
+                // `[key, lambdas]` pairs.
+                "entries" if entries.is_none() => entries = Some(Vec::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+            key = r.next_key()?;
+        }
+        let missing = |name: &str| serde::Error::custom(format!("delta missing field '{name}'"));
+        Ok(LambdaDelta {
+            epoch: epoch.ok_or_else(|| missing("epoch"))?,
+            entries: entries.ok_or_else(|| missing("entries"))?,
+        })
     }
 }
 

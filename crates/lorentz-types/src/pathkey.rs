@@ -11,7 +11,7 @@
 
 use crate::error::LorentzError;
 use crate::ids::{CustomerId, ResourceGroupId, ResourcePath, SubscriptionId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonReader, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
 
@@ -108,6 +108,17 @@ impl Deserialize for PathKey {
             .as_str()
             .ok_or_else(|| serde::Error::custom("path key must be a string"))?;
         s.parse().map_err(|e| serde::Error::custom(format!("{e}")))
+    }
+
+    /// Parses the key from the string's text, with no tree in between.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
+        match r.peek() {
+            Some(b'"') => r
+                .read_str()?
+                .parse()
+                .map_err(|e| serde::Error::custom(format!("{e}"))),
+            _ => Self::from_value(&r.read_value()?),
+        }
     }
 }
 

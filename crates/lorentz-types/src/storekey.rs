@@ -11,7 +11,7 @@
 use crate::error::LorentzError;
 use crate::offering::ServerOffering;
 use crate::profile::FeatureId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonReader, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
 
@@ -137,6 +137,17 @@ impl Deserialize for StoreKey {
             .as_str()
             .ok_or_else(|| serde::Error::custom("store key must be a string"))?;
         s.parse().map_err(|e| serde::Error::custom(format!("{e}")))
+    }
+
+    /// Parses the key from the string's text, with no tree in between.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
+        match r.peek() {
+            Some(b'"') => r
+                .read_str()?
+                .parse()
+                .map_err(|e| serde::Error::custom(format!("{e}"))),
+            _ => Self::from_value(&r.read_value()?),
+        }
     }
 }
 

@@ -1,22 +1,27 @@
 //! Property and pinned tests of the JSON text layer every model file, WAL
 //! record and wire frame goes through: whatever the writer emits reads
 //! back to the same text (compact and pretty), compact text written
-//! straight from a typed value equals the text of its value tree, the
+//! straight from a typed value equals the text of its value tree, text
+//! read straight into a type gives what the type's `from_value` makes of
+//! the text's tree — on the writer's text and on mutations of it — the
 //! reader's edge cases — the nesting limit, 64-bit integer bounds, floats
 //! past them, `-0`, surrogate pairs, escapes, trailing input — are pinned,
-//! and the reader stays linear on large strings and arrays.
+//! the reader stays linear on large strings and arrays, and no mutated
+//! WAL frame makes the WAL decoder panic.
 
 use lorentz::core::explain::BucketSummary;
+use lorentz::core::personalizer::wal::{next_frame, wal_codec};
 use lorentz::core::{
-    Explanation, LorentzConfig, LorentzPipeline, Recommendation, SatisfactionSignal, WalRecord,
+    Explanation, LorentzConfig, LorentzPipeline, Recommendation, SatisfactionSignal, TermRecord,
+    TrainedLorentz, WalRecord,
 };
-use lorentz::simdata::fleet::FleetConfig;
+use lorentz::simdata::fleet::{FleetConfig, SyntheticFleet};
 use lorentz::types::{
     Capacity, CustomerId, FeatureId, LambdaDelta, PathKey, ResourceGroupId, ResourcePath,
     ServerOffering, Sku, StoreKey, SubscriptionId, ValueId,
 };
 use proptest::prelude::*;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
@@ -210,7 +215,7 @@ fn delta(rng: &mut TestRng) -> LambdaDelta {
 }
 
 /// Every shape the derive supports.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 enum Shape {
     Unit,
     Named {
@@ -223,7 +228,7 @@ enum Shape {
     Many(i64, bool, [f64; 3]),
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct Skipping {
     kept: u32,
     #[serde(skip)]
@@ -236,13 +241,13 @@ struct Skipping {
     unit: UnitStruct,
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct Newtype(f64);
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct TupleStruct(u16, Option<String>);
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct UnitStruct;
 
 fn shape(rng: &mut TestRng) -> Shape {
@@ -381,6 +386,275 @@ proptest! {
     }
 }
 
+/// `from_str` reads `text` as `from_value` reads its tree: both `Ok` with
+/// equal values after `canon`, or both `Err`. Values are compared by their
+/// `Debug` text, which tells every two floats with different bits apart
+/// (`-0.0`, infinities, NaN) short of NaN payloads.
+fn reads_like_its_tree_by<T: Deserialize + Debug, C: Debug>(
+    text: &str,
+    canon: impl Fn(T) -> C,
+) -> Result<(), TestCaseError> {
+    let typed = serde_json::from_str::<T>(text).map(&canon);
+    let tree = serde_json::parse(text)
+        .map_err(|e| e.to_string())
+        .and_then(|v| T::from_value(&v).map_err(|e| e.to_string()))
+        .map(&canon);
+    match (typed, tree) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        (Err(_), Err(_)) => {}
+        (typed, tree) => prop_assert!(false, "{text}\n  typed: {typed:?}\n  tree: {tree:?}"),
+    }
+    Ok(())
+}
+
+fn reads_like_its_tree<T: Deserialize + Debug>(text: &str) -> Result<(), TestCaseError> {
+    reads_like_its_tree_by(text, |x: T| x)
+}
+
+/// Rewrites `v` in place: map entries reordered, a key repeated with
+/// another value before or after it, unknown keys holding nested values
+/// (which also gives one-key enum objects a second key), each with a
+/// small chance per object.
+fn mutate_tree(v: &mut Value, rng: &mut TestRng) {
+    match v {
+        Value::Seq(items) => items.iter_mut().for_each(|x| mutate_tree(x, rng)),
+        Value::Map(entries) => {
+            entries.iter_mut().for_each(|(_, x)| mutate_tree(x, rng));
+            for _ in 0..entries.len() {
+                if rng.below(4) == 0 {
+                    let (a, b) = (
+                        rng.below(entries.len() as u64),
+                        rng.below(entries.len() as u64),
+                    );
+                    entries.swap(a as usize, b as usize);
+                }
+            }
+            if !entries.is_empty() && rng.below(4) == 0 {
+                let at = rng.below(entries.len() as u64) as usize;
+                let key = entries[at].0.clone();
+                let other = Tree { depth: 2 }.sample(rng);
+                let to = rng.below(entries.len() as u64 + 1) as usize;
+                entries.insert(to, (key, other));
+            }
+            if rng.below(4) == 0 {
+                let to = rng.below(entries.len() as u64 + 1) as usize;
+                entries.insert(to, ("unknown".to_owned(), Tree { depth: 3 }.sample(rng)));
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Rewrites number tokens outside strings: an integer as `N.0` or `"N"`,
+/// any number as `null`, each with a small chance.
+fn mutate_numbers(text: &str, rng: &mut TestRng) -> String {
+    let mut out = String::with_capacity(text.len() + 16);
+    let mut chars = text.chars().peekable();
+    let (mut in_string, mut escaped) = (false, false);
+    while let Some(c) = chars.next() {
+        if in_string {
+            out.push(c);
+            (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            continue;
+        }
+        if c != '-' && !c.is_ascii_digit() {
+            in_string = c == '"';
+            out.push(c);
+            continue;
+        }
+        let mut token = c.to_string();
+        while let Some(&d) = chars
+            .peek()
+            .filter(|d| d.is_ascii_digit() || ".eE+-".contains(**d))
+        {
+            token.push(d);
+            chars.next();
+        }
+        let integer = !token.contains(['.', 'e', 'E']);
+        match rng.below(8) {
+            0 if integer => out.push_str(&format!("{token}.0")),
+            1 if integer => out.push_str(&format!("\"{token}\"")),
+            2 => out.push_str("null"),
+            _ => out.push_str(&token),
+        }
+    }
+    out
+}
+
+/// `text` with an unknown first key holding arrays nested `levels` deep.
+fn with_deep_unknown_key(text: &str, levels: usize) -> Option<String> {
+    let rest = text.strip_prefix('{')?;
+    let nested = format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+    let sep = if rest == "}" { "" } else { "," };
+    Some(format!("{{\"deep\":{nested}{sep}{rest}"))
+}
+
+/// The compact text of `x`, and mutations of it: tree rewrites, number
+/// rewrites, an unknown field nested 127, 128 and 129 levels inside the
+/// top object (the limit is 128 including that object), truncations and
+/// single bit flips that leave valid UTF-8.
+fn mutated_texts(x: &impl Serialize, rng: &mut TestRng) -> Vec<String> {
+    let text = serde_json::to_string(x).unwrap();
+    let mut texts = vec![text.clone()];
+    for _ in 0..3 {
+        let mut tree = x.to_value();
+        mutate_tree(&mut tree, rng);
+        texts.push(serde_json::to_string(&tree).unwrap());
+    }
+    texts.push(mutate_numbers(&text, rng));
+    texts.extend((127..=129).filter_map(|levels| with_deep_unknown_key(&text, levels)));
+    for _ in 0..3 {
+        let cut = rng.below(text.len() as u64) as usize;
+        if text.is_char_boundary(cut) {
+            texts.push(text[..cut].to_owned());
+        }
+        let mut bytes = text.clone().into_bytes();
+        let bit = rng.below(bytes.len() as u64 * 8) as usize;
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        texts.extend(String::from_utf8(bytes).ok());
+    }
+    texts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Responses, with every explanation, read like their trees.
+    #[test]
+    fn recommendations_read_like_their_trees(
+        texts in Sampled(|rng: &mut TestRng| mutated_texts(&recommendation(rng), rng))
+    ) {
+        for text in &texts {
+            reads_like_its_tree::<Recommendation>(text)?;
+        }
+    }
+
+    /// WAL records read like their trees, as records and, as `parse_entry`
+    /// tries next, as term markers.
+    #[test]
+    fn wal_records_read_like_their_trees(texts in Sampled(|rng: &mut TestRng| {
+        let record = WalRecord { signal: signal(rng), delta: delta(rng) };
+        let mut texts = mutated_texts(&record, rng);
+        texts.extend(mutated_texts(&TermRecord { leader_term: rng.next_u64() }, rng));
+        texts
+    })) {
+        for text in &texts {
+            reads_like_its_tree::<WalRecord>(text)?;
+            reads_like_its_tree::<TermRecord>(text)?;
+            reads_like_its_tree::<LambdaDelta>(text)?;
+        }
+    }
+
+    /// Maps read like their trees: a repeated key keeps its last value.
+    #[test]
+    fn maps_read_like_their_trees(texts in Sampled(|rng: &mut TestRng| {
+        let mut texts = mutated_texts(&btree_map(rng), rng);
+        texts.extend(mutated_texts(&hash_map(rng), rng));
+        texts
+    })) {
+        for text in &texts {
+            reads_like_its_tree::<BTreeMap<u32, Vec<f64>>>(text)?;
+            reads_like_its_tree_by(text, |m: HashMap<String, f32>| {
+                m.into_iter().collect::<BTreeMap<_, _>>()
+            })?;
+        }
+    }
+
+    /// Derived shapes, `#[serde(skip)]`, tuples, options, chars and arrays
+    /// read like their trees: a repeated field keeps its first value.
+    #[test]
+    fn derived_values_read_like_their_trees(
+        texts in Sampled(|rng: &mut TestRng| mutated_texts(&skipping(rng), rng))
+    ) {
+        for text in &texts {
+            reads_like_its_tree::<Skipping>(text)?;
+        }
+    }
+
+    /// Every float, and the containers around it, reads like its tree.
+    #[test]
+    fn floats_read_like_their_trees(texts in Sampled(|rng: &mut TestRng| {
+        let f = any_float(rng);
+        let mut texts = mutated_texts(&vec![f, -f, f * 0.5], rng);
+        texts.extend(mutated_texts(&(Some(f), string(rng).chars().next()), rng));
+        texts
+    })) {
+        for text in &texts {
+            reads_like_its_tree::<f64>(text)?;
+            reads_like_its_tree::<f32>(text)?;
+            reads_like_its_tree::<Option<f64>>(text)?;
+            reads_like_its_tree::<[f64; 3]>(text)?;
+            reads_like_its_tree::<Vec<f32>>(text)?;
+            reads_like_its_tree::<(Option<f64>, Option<char>)>(text)?;
+            reads_like_its_tree::<Value>(text)?;
+        }
+    }
+
+    /// No mutation of a WAL frame makes the WAL decoder panic: bit flips
+    /// and truncations of the framed bytes, and mutated payloads framed
+    /// with a valid checksum so they reach the JSON reader.
+    #[test]
+    fn mutated_wal_frames_decode_without_panicking(logs in Sampled(|rng: &mut TestRng| {
+        let record = WalRecord { signal: signal(rng), delta: delta(rng) };
+        let frame = wal_codec().encode(serde_json::to_string(&record).unwrap().as_bytes());
+        let mut logs: Vec<Vec<u8>> = mutated_texts(&record, rng)
+            .iter()
+            .map(|text| wal_codec().encode(text.as_bytes()))
+            .collect();
+        for _ in 0..4 {
+            let mut bytes = frame.clone();
+            let bit = rng.below(bytes.len() as u64 * 8) as usize;
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            logs.push(bytes);
+            logs.push(frame[..rng.below(frame.len() as u64) as usize].to_vec());
+        }
+        logs
+    })) {
+        for log in &logs {
+            let mut offset = 0;
+            while let Some(Ok((_, end))) = next_frame(log, offset) {
+                prop_assert!(end > offset && end <= log.len());
+                offset = end;
+            }
+        }
+    }
+}
+
+/// A model trained on a small generated fleet, and that fleet.
+fn trained_fixture() -> (TrainedLorentz, SyntheticFleet) {
+    let generated = FleetConfig {
+        n_servers: 120,
+        seed: 7,
+        ..FleetConfig::default()
+    }
+    .generate()
+    .unwrap();
+    let mut config = LorentzConfig::paper_defaults();
+    config.target_encoding.boosting.n_trees = 5;
+    config.hierarchical.min_bucket = 3;
+    let trained = LorentzPipeline::new(config)
+        .unwrap()
+        .train(&generated.fleet)
+        .unwrap();
+    (trained, generated)
+}
+
+/// `text` reads to the same value straight and through its tree, and
+/// that value writes `text` back.
+fn reads_back_both_ways<T: Deserialize + Serialize>(text: &str) {
+    let typed: T = serde_json::from_str(text).unwrap();
+    let tree = T::from_value(&serde_json::parse(text).unwrap()).unwrap();
+    assert_eq!(serde_json::to_string(&typed).unwrap(), text);
+    assert_eq!(serde_json::to_string(&tree).unwrap(), text);
+}
+
+#[test]
+fn trained_model_and_fleet_read_like_their_trees() {
+    let (trained, fleet) = trained_fixture();
+    reads_back_both_ways::<TrainedLorentz>(&trained.to_json().unwrap());
+    reads_back_both_ways::<SyntheticFleet>(&serde_json::to_string(&fleet).unwrap());
+}
+
 #[test]
 fn strings_escape_exactly_the_json_specials() {
     let text = serde_json::to_string("a\"\\/\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}é😀").unwrap();
@@ -408,18 +682,7 @@ fn number_edges_write_pinned_text() {
 
 #[test]
 fn trained_model_writes_like_its_tree() {
-    let fleet = FleetConfig {
-        n_servers: 120,
-        seed: 7,
-        ..FleetConfig::default()
-    }
-    .generate()
-    .unwrap()
-    .fleet;
-    let mut config = LorentzConfig::paper_defaults();
-    config.target_encoding.boosting.n_trees = 5;
-    config.hierarchical.min_bucket = 3;
-    let trained = LorentzPipeline::new(config).unwrap().train(&fleet).unwrap();
+    let (trained, _) = trained_fixture();
     let tree = serde_json::to_string(&trained.to_value()).unwrap();
     assert_eq!(trained.to_json().unwrap(), tree);
 }
