@@ -26,25 +26,17 @@ impl Node {
     /// Spawns `binary` with `args`, capturing stderr and stdout line by
     /// line on reader threads (so a chatty child never blocks on a full
     /// pipe).
-    pub fn spawn(
-        name: &str,
-        binary: &Path,
-        args: &[String],
-        envs: &[(String, String)],
-    ) -> Result<Self, ChaosError> {
-        let mut command = Command::new(binary);
-        command
+    pub fn spawn(name: &str, binary: &Path, args: &[String]) -> Result<Self, ChaosError> {
+        let mut child = Command::new(binary)
             .args(args)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        for (k, v) in envs {
-            command.env(k, v);
-        }
-        let mut child = command.spawn().map_err(|e| ChaosError::Spawn {
-            node: name.to_owned(),
-            source: e,
-        })?;
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| ChaosError::Spawn {
+                node: name.to_owned(),
+                source: e,
+            })?;
         let stderr_lines = capture(child.stderr.take(), name);
         let stdout_lines = capture(child.stdout.take(), name);
         Ok(Self {

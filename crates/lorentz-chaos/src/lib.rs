@@ -97,9 +97,6 @@ pub struct ChaosConfig {
     pub promote_after_ms: u64,
     /// Keep scratch dirs even on a passing run.
     pub keep_work_dir: bool,
-    /// `LORENTZ_FAILPOINTS` spec for the leader process (torn frames,
-    /// disk faults); requires a fault-injection build of the binary.
-    pub failpoints: Option<String>,
 }
 
 impl ChaosConfig {
@@ -114,7 +111,6 @@ impl ChaosConfig {
             run_ms: 9000,
             promote_after_ms: 400,
             keep_work_dir: false,
-            failpoints: None,
         }
     }
 }
@@ -267,10 +263,6 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
 
     // --- leader ----------------------------------------------------------
     let leader_wal = dir.join("leader.wal");
-    let mut leader_env = Vec::new();
-    if let Some(spec) = &config.failpoints {
-        leader_env.push(("LORENTZ_FAILPOINTS".to_owned(), spec.clone()));
-    }
     let mut leader = Node::spawn(
         "leader",
         &config.binary,
@@ -285,7 +277,6 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
             "--replicate-listen".into(),
             "tcp://127.0.0.1:0".into(),
         ],
-        &leader_env,
     )?;
     let client_addr = parse_addr(
         &leader.wait_for_stderr("listening on ", io_timeout)?,
@@ -330,7 +321,6 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
                 "--run-ms".into(),
                 config.run_ms.to_string(),
             ],
-            &[],
         )?;
         node.wait_for_stderr("following ", io_timeout)?;
         standby_wal_paths.push(wal);

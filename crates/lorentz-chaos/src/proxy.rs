@@ -10,6 +10,11 @@
 //!   refuse new connections by accepting-and-closing, so followers see a
 //!   hard transport error immediately instead of hanging — exactly the
 //!   signal their promotion timers count.
+//! * **Cut(n)** — one shot: forward `n` more upstream→client bytes, sever
+//!   the bridge that carried the last of them, and go back to forwarding.
+//!   A test arms it to tear a frame mid-flight (a server falling over
+//!   mid-response, a leader dying mid-send) from its own side of the
+//!   socket.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -27,6 +32,8 @@ enum Mode {
     Delay(u64),
     /// Sever everything; refuse new bridges.
     Blackhole,
+    /// Forward this many more upstream→client bytes, then sever.
+    Cut(u64),
 }
 
 struct ProxyState {
@@ -36,6 +43,8 @@ struct ProxyState {
     generation: AtomicU64,
     /// Live streams to tear on blackhole (client and upstream halves).
     bridges: Mutex<Vec<TcpStream>>,
+    /// Bridges severed by a [`FaultProxy::cut_after`].
+    cuts: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -57,6 +66,7 @@ impl FaultProxy {
             mode: Mutex::new(Mode::Forward),
             generation: AtomicU64::new(0),
             bridges: Mutex::new(Vec::new()),
+            cuts: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
         let accept_state = Arc::clone(&state);
@@ -95,6 +105,18 @@ impl FaultProxy {
     /// Returns to transparent forwarding; new subscriptions succeed again.
     pub fn heal(&self) {
         *self.state.mode.lock().expect("proxy mode poisoned") = Mode::Forward;
+    }
+
+    /// One-shot tear: forwards `bytes` more upstream→client bytes, then
+    /// severs the bridge they crossed and returns to forwarding. The
+    /// client receives exactly that prefix and then end-of-stream.
+    pub fn cut_after(&self, bytes: u64) {
+        *self.state.mode.lock().expect("proxy mode poisoned") = Mode::Cut(bytes);
+    }
+
+    /// How many bridges a [`FaultProxy::cut_after`] has severed so far.
+    pub fn cuts(&self) -> u64 {
+        self.state.cuts.load(Ordering::Acquire)
     }
 }
 
@@ -140,29 +162,32 @@ fn accept_loop(listener: TcpListener, upstream: SocketAddr, state: Arc<ProxyStat
 /// Wires one client↔upstream bridge with a pump thread per direction.
 fn bridge(client: TcpStream, upstream: TcpStream, state: &Arc<ProxyState>) {
     let pairs = match (client.try_clone(), upstream.try_clone()) {
-        (Ok(client_clone), Ok(upstream_clone)) => {
-            [(client, upstream_clone), (upstream, client_clone)]
-        }
+        (Ok(client_clone), Ok(upstream_clone)) => [
+            (client, upstream_clone, false),
+            (upstream, client_clone, true),
+        ],
         _ => return,
     };
     {
         let mut bridges = state.bridges.lock().expect("proxy bridges poisoned");
-        for (reader, writer) in &pairs {
+        for (reader, writer, _) in &pairs {
             if let (Ok(r), Ok(w)) = (reader.try_clone(), writer.try_clone()) {
                 bridges.push(r);
                 bridges.push(w);
             }
         }
     }
-    for (reader, writer) in pairs {
+    for (reader, writer, downstream) in pairs {
         let pump_state = Arc::clone(state);
         let _ = std::thread::Builder::new()
             .name("chaos-proxy-pump".to_owned())
-            .spawn(move || pump(reader, writer, pump_state));
+            .spawn(move || pump(reader, writer, downstream, &pump_state));
     }
 }
 
-fn pump(mut reader: TcpStream, mut writer: TcpStream, state: Arc<ProxyState>) {
+/// Pumps one direction of a bridge; `downstream` is upstream→client, the
+/// direction a [`Mode::Cut`] counts.
+fn pump(mut reader: TcpStream, mut writer: TcpStream, downstream: bool, state: &ProxyState) {
     // A read timeout keeps the pump responsive to blackhole generations
     // even when the link is idle.
     let _ = reader.set_read_timeout(Some(Duration::from_millis(50)));
@@ -185,13 +210,29 @@ fn pump(mut reader: TcpStream, mut writer: TcpStream, state: Arc<ProxyState>) {
             }
             Err(_) => break,
         };
-        let mode = *state.mode.lock().expect("proxy mode poisoned");
-        match mode {
-            Mode::Blackhole => break,
-            Mode::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
-            Mode::Forward => {}
-        }
-        if writer.write_all(&buf[..n]).is_err() {
+        // How much of the chunk to forward, and whether to sever after.
+        let (keep, sever) = {
+            let mut mode = state.mode.lock().expect("proxy mode poisoned");
+            match *mode {
+                Mode::Blackhole => break,
+                Mode::Delay(ms) => {
+                    drop(mode);
+                    std::thread::sleep(Duration::from_millis(ms));
+                    (n, false)
+                }
+                Mode::Cut(left) if downstream && n as u64 >= left => {
+                    *mode = Mode::Forward;
+                    state.cuts.fetch_add(1, Ordering::AcqRel);
+                    (left as usize, true)
+                }
+                Mode::Cut(left) if downstream => {
+                    *mode = Mode::Cut(left - n as u64);
+                    (n, false)
+                }
+                Mode::Cut(_) | Mode::Forward => (n, false),
+            }
+        };
+        if writer.write_all(&buf[..keep]).is_err() || sever {
             break;
         }
     }
@@ -265,5 +306,30 @@ mod tests {
         healed.write_all(b"pong").unwrap();
         healed.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"pong");
+    }
+
+    #[test]
+    fn a_cut_forwards_the_prefix_then_severs_once() {
+        let (upstream, _handle) = echo_upstream();
+        let proxy = FaultProxy::start(upstream).unwrap();
+        proxy.cut_after(3);
+        let mut conn = TcpStream::connect(proxy.local_addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        // The request crosses whole; only the echo back is counted.
+        conn.write_all(b"pingpong").unwrap();
+        let mut echoed = Vec::new();
+        conn.read_to_end(&mut echoed)
+            .expect("end-of-stream, not a timeout");
+        assert_eq!(echoed, b"pin", "exactly the prefix, then end-of-stream");
+        assert_eq!(proxy.cuts(), 1);
+
+        // One shot: the next bridge forwards everything.
+        let mut next = TcpStream::connect(proxy.local_addr()).unwrap();
+        next.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        next.write_all(b"pong").unwrap();
+        let mut buf = [0u8; 4];
+        next.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"pong");
+        assert_eq!(proxy.cuts(), 1);
     }
 }

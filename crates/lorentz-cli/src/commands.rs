@@ -121,7 +121,7 @@ USAGE:
   lorentz persim    [--iters N] [--signal-rate X] [--signal-noise X] [--sigma X] [--seed N]
   lorentz chaos     --seed N [--seeds K] [--model model.json] [--standbys N]
                     [--run-ms MS] [--promote-after-ms MS] [--work-dir DIR]
-                    [--keep-dirs] [--failpoints SPEC]
+                    [--keep-dirs]
                     (seeded cluster chaos: spawns a real leader + standbys from this
                      binary, drives feedback load, injects the seed's fault schedule —
                      kill -9, SIGSTOP, or a replication partition through a built-in
@@ -1192,7 +1192,6 @@ pub fn chaos(args: &Args) -> Result<(), CliError> {
     config.run_ms = args.get_parse_or("run-ms", config.run_ms)?;
     config.promote_after_ms = args.get_parse_or("promote-after-ms", config.promote_after_ms)?;
     config.keep_work_dir = args.has_switch("keep-dirs");
-    config.failpoints = args.get("failpoints").map(ToOwned::to_owned);
     if config.standbys < 2 {
         return Err(CliError::Usage(
             "--standbys must be at least 2 (the harness checks a promotion race)".to_owned(),

@@ -32,13 +32,6 @@ use args::Args;
 use error::CliError;
 
 fn main() {
-    // Deterministic fault injection for the crash-recovery tests: a no-op
-    // unless the binary was built with the `fault-injection` feature AND
-    // the LORENTZ_FAILPOINTS environment variable is set.
-    if let Err(e) = lorentz_fault::init_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let args = match Args::from_env() {
         Ok(a) => a,
         Err(e) => {

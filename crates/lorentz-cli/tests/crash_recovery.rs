@@ -1,22 +1,17 @@
 //! Kill-mid-write crash recovery, end to end against the real binary.
 //!
-//! A child `lorentz train` is driven through the `LORENTZ_FAILPOINTS`
-//! environment variable: the `store.write.partial` fail point tears the
-//! second generation's data write (the torn bytes still *commit* — the
-//! observable outcome of a crash or lying fsync between write and
-//! durability), and `store.save.commit` aborts the process right at the
-//! manifest commit point. Recovery must then fall back to generation 1,
-//! deterministically, with exactly one recorded fallback.
-//!
-//! Only compiled under the `fault-injection` feature — the binary must
-//! have its fail points compiled in:
-//! `cargo test -p lorentz-cli --features fault-injection`.
+//! Two `lorentz train` runs commit store generations 1 and 2; the test then
+//! plants the state a second run killed mid-save leaves behind: the
+//! generation-2 data write torn in half (yet *committed* — the observable
+//! outcome of a crash or lying fsync between write and durability) and the
+//! manifest already pointing at it. Recovery must then fall back to
+//! generation 1, deterministically, with exactly one recorded fallback.
 
-#![cfg(feature = "fault-injection")]
-
+use lorentz_core::retry::RetryPolicy;
 use lorentz_core::{obs, DurableStore};
+use lorentz_fault::{Fault, FaultyIo, Op, RealIo};
 use lorentz_types::StoreCorruption;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
 
@@ -35,55 +30,45 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn kill_mid_write_recovers_previous_generation() {
-    let dir = tmp_dir("recovery");
+/// Generates a small fleet and runs `lorentz train --store-dir` on it
+/// `trains` times, each run committing one store generation.
+fn train_store(dir: &Path, trains: u64) -> PathBuf {
     let fleet = dir.join("fleet.json");
-    let model = dir.join("model.json");
     let store_dir = dir.join("store");
-
     let status = lorentz_bin()
         .args(["generate", "--servers", "60", "--seed", "5", "--out"])
         .arg(&fleet)
         .status()
         .expect("spawn lorentz generate");
     assert!(status.success(), "generate failed");
-
-    // First train commits generation 1 cleanly.
-    let train_args = |cmd: &mut Command| {
-        cmd.args(["train", "--fleet"])
+    for generation in 1..=trains {
+        let status = lorentz_bin()
+            .args(["train", "--fleet"])
             .arg(&fleet)
             .arg("--out")
-            .arg(&model)
+            .arg(dir.join("model.json"))
             .args(["--trees", "5", "--min-bucket", "3", "--store-dir"])
-            .arg(&store_dir);
-    };
-    let mut cmd = lorentz_bin();
-    train_args(&mut cmd);
-    let status = cmd.status().expect("spawn lorentz train");
-    assert!(status.success(), "first train failed");
-    assert!(store_dir.join("store.gen-1.json").exists());
+            .arg(&store_dir)
+            .status()
+            .expect("spawn lorentz train");
+        assert!(status.success(), "train {generation} failed");
+        assert!(store_dir
+            .join(format!("store.gen-{generation}.json"))
+            .exists());
+    }
+    store_dir
+}
 
-    // Second train: tear the generation-2 data write, then die at the
-    // commit point. The torn generation is committed in the manifest but
-    // fails its CRC on load.
-    let mut cmd = lorentz_bin();
-    train_args(&mut cmd);
-    let status = cmd
-        .env(
-            "LORENTZ_FAILPOINTS",
-            "store.write.partial=partial(0.5)@once;store.save.commit=abort",
-        )
-        .status()
-        .expect("spawn lorentz train (faulted)");
-    assert!(
-        !status.success(),
-        "faulted train must die at the commit fail point"
-    );
-    assert!(
-        store_dir.join("store.gen-2.json").exists(),
-        "the torn generation-2 file must have been committed"
-    );
+#[test]
+fn kill_mid_write_recovers_previous_generation() {
+    let dir = tmp_dir("recovery");
+    let store_dir = train_store(&dir, 2);
+
+    // Tear generation 2's committed data file in half. The manifest still
+    // names it current, so it fails its integrity check only on load.
+    let gen2 = store_dir.join("store.gen-2.json");
+    let bytes = std::fs::read(&gen2).unwrap();
+    std::fs::write(&gen2, &bytes[..bytes.len() / 2]).unwrap();
 
     // Recovery: generation 2 fails its checksum, generation 1 loads, and
     // the fallback is visible both on the recovery report and in the
@@ -129,38 +114,22 @@ fn kill_mid_write_recovers_previous_generation() {
 #[test]
 fn transient_write_errors_are_retried_to_success() {
     let dir = tmp_dir("retry");
-    let fleet = dir.join("fleet.json");
-    let model = dir.join("model.json");
-    let store_dir = dir.join("store");
+    let store_dir = train_store(&dir, 1);
 
-    let status = lorentz_bin()
-        .args(["generate", "--servers", "60", "--seed", "5", "--out"])
-        .arg(&fleet)
-        .status()
-        .expect("spawn lorentz generate");
-    assert!(status.success(), "generate failed");
-
-    // One injected ErrorKind::Interrupted on the store write: the retry
-    // layer must absorb it and the train must still succeed.
-    let status = lorentz_bin()
-        .args(["train", "--fleet"])
-        .arg(&fleet)
-        .arg("--out")
-        .arg(&model)
-        .args(["--trees", "5", "--min-bucket", "3", "--store-dir"])
-        .arg(&store_dir)
-        .env(
-            "LORENTZ_FAILPOINTS",
-            "store.write.io_error=interrupted@once",
-        )
-        .status()
-        .expect("spawn lorentz train (transient fault)");
-    assert!(status.success(), "train must survive a transient I/O error");
-
+    // Republish the binary's store through a disk whose first write fails
+    // with ErrorKind::Interrupted: the retry layer must absorb it.
     let _obs = OBS_LOCK.lock().unwrap();
+    let store = DurableStore::open(&store_dir).load().expect("load").store;
+    let io = FaultyIo::new(RealIo).fail(Op::Write, 1..=1, Fault::Transient);
+    let durable = DurableStore::with_io(&store_dir, Box::new(io)).retry_policy(RetryPolicy {
+        base_delay: std::time::Duration::from_micros(50),
+        ..RetryPolicy::default()
+    });
+    assert_eq!(durable.save(&store).expect("save survives"), 2);
     let recovered = DurableStore::open(&store_dir).load().expect("load");
-    assert_eq!(recovered.generation, 1);
+    assert_eq!(recovered.generation, 2);
     assert_eq!(recovered.fallbacks, 0);
+    assert_eq!(recovered.store, store);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

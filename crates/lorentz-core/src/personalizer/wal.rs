@@ -25,23 +25,24 @@
 //! mid-append leaves a torn final record; replay verifies each frame's
 //! CRC, keeps every intact prefix record, truncates the torn tail, and
 //! reports how many bytes were dropped — mirroring the newest-first
-//! fallback discipline of the durable store. The `personalizer.wal.append`
-//! fail point injects torn appends, bit flips, and transient errors under
-//! the `fault-injection` feature. [`SignalWal::verify`] walks a log
-//! read-only and reports each record's verdict (the `lorentz wal-verify`
-//! command), reusing [`StoreCorruption`] so operators see the same
-//! corruption taxonomy as `store-verify`.
+//! fallback discipline of the durable store. Appends go through a
+//! [`SnapshotIo`] seam chosen at [`SignalWal::open_with`], so a test that
+//! hands in a scripted `FaultyIo` gets torn appends, bit flips, and
+//! transient or permanent errors on that one log. [`SignalWal::verify`]
+//! walks a log read-only and reports each record's verdict (the `lorentz
+//! wal-verify` command), reusing [`StoreCorruption`] so operators see the
+//! same corruption taxonomy as `store-verify`.
 
 use super::SatisfactionSignal;
 use crate::obs;
 use crate::retry::{is_transient_io, retry_with_backoff, RetryPolicy};
 use crate::store::StoreError;
-use lorentz_fault::fail_point;
+use lorentz_fault::{default_io, SnapshotIo};
 use lorentz_types::framing::{Decoded, FrameCodec, FrameError};
 use lorentz_types::{LambdaDelta, StoreCorruption};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -147,7 +148,7 @@ pub struct WalRecovery {
 pub struct SignalWal {
     path: PathBuf,
     file: File,
-    retry: RetryPolicy,
+    io: Box<dyn SnapshotIo>,
 }
 
 impl std::fmt::Debug for SignalWal {
@@ -159,24 +160,24 @@ impl std::fmt::Debug for SignalWal {
 }
 
 impl SignalWal {
-    /// Opens (or creates) the log at `path` with the default retry policy,
-    /// replaying every intact record and truncating a torn tail.
+    /// Opens (or creates) the log at `path`, replaying every intact record
+    /// and truncating a torn tail. Appends go straight to the file.
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] when the file cannot be opened, read, or
     /// truncated.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, WalRecovery), StoreError> {
-        Self::open_with(path, RetryPolicy::default())
+        Self::open_with(path, default_io())
     }
 
-    /// [`SignalWal::open`] with an explicit append retry policy.
+    /// [`SignalWal::open`] with every append going through `io`.
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] when the file cannot be opened, read, or
     /// truncated.
     pub fn open_with(
         path: impl AsRef<Path>,
-        retry: RetryPolicy,
+        io: Box<dyn SnapshotIo>,
     ) -> Result<(Self, WalRecovery), StoreError> {
         let path = path.as_ref().to_path_buf();
         let io_err = |source: io::Error| StoreError::Io {
@@ -217,7 +218,7 @@ impl SignalWal {
         file.seek(SeekFrom::Start(good_len as u64))
             .map_err(&io_err)?;
         Ok((
-            Self { path, file, retry },
+            Self { path, file, io },
             WalRecovery {
                 signals,
                 last_epoch,
@@ -293,7 +294,7 @@ impl SignalWal {
 
     /// Appends one leader-term marker durably. Term markers are control
     /// records, not feedback: they share the framing, retry, and
-    /// fail-point discipline of every other append but are *not* counted
+    /// fault-seam discipline of every other append but are *not* counted
     /// in `personalizer.wal.appends`, which meters accepted signals.
     ///
     /// # Errors
@@ -313,7 +314,7 @@ impl SignalWal {
 
     /// Appends pre-framed record bytes (from [`frame_record`], or received
     /// off a replication stream) durably, under the same retry and
-    /// fail-point discipline as [`SignalWal::append_record`]. The frame is
+    /// fault-seam discipline as [`SignalWal::append_record`]. The frame is
     /// written verbatim, so a TCP follower's local log stays byte-identical
     /// to the leader's.
     ///
@@ -325,10 +326,11 @@ impl SignalWal {
         Ok(())
     }
 
-    /// The durable write every append path shares: `write_all` + `fsync`
-    /// under the retry policy, metering left to the caller.
+    /// The durable write every append path shares: the seam's append +
+    /// `fsync` under the default retry policy, metering left to the
+    /// caller.
     fn write_frame(&mut self, frame: &[u8]) -> Result<(), StoreError> {
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         retry_with_backoff(&policy, is_transient_io, |_| self.append_once(frame)).map_err(
             |source| StoreError::Io {
                 path: self.path.display().to_string(),
@@ -354,12 +356,7 @@ impl SignalWal {
     }
 
     fn append_once(&mut self, frame: &[u8]) -> io::Result<()> {
-        fail_point!("personalizer.wal.append", |action| inject_append_fault(
-            &mut self.file,
-            frame,
-            action
-        ));
-        self.file.write_all(frame)?;
+        self.io.append(&mut self.file, frame)?;
         self.file.sync_data()
     }
 
@@ -627,48 +624,10 @@ pub fn next_frame(
     }
 }
 
-/// Interprets a fired `personalizer.wal.append` action: `partial(FRAC)`
-/// writes that fraction of the frame and kills the process (the
-/// kill-mid-append scenario), `flip(BIT)` commits a corrupted frame as if
-/// it succeeded, `error`/`interrupted` surface as permanent/transient I/O
-/// errors.
-#[cfg(feature = "fault-injection")]
-fn inject_append_fault(
-    file: &mut File,
-    frame: &[u8],
-    action: lorentz_fault::FailAction,
-) -> io::Result<()> {
-    use lorentz_fault::FailAction;
-    match action {
-        FailAction::Panic => panic!("fail point 'personalizer.wal.append' injected a panic"),
-        FailAction::Abort => std::process::abort(),
-        FailAction::Partial(frac) => {
-            let keep = ((frame.len() as f64) * frac.clamp(0.0, 1.0)) as usize;
-            let _ = file.write_all(&frame[..keep]);
-            let _ = file.sync_data();
-            std::process::abort();
-        }
-        FailAction::FlipBit(bit) => {
-            let mut corrupt = frame.to_vec();
-            let bit = (bit as usize) % (corrupt.len() * 8);
-            corrupt[bit / 8] ^= 1 << (bit % 8);
-            file.write_all(&corrupt)?;
-            file.sync_data()
-        }
-        FailAction::Error => Err(io::Error::new(
-            io::ErrorKind::PermissionDenied,
-            "injected permanent WAL error",
-        )),
-        FailAction::Interrupted => Err(io::Error::new(
-            io::ErrorKind::Interrupted,
-            "injected transient WAL error",
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lorentz_fault::{Fault, FaultyIo, Op, RealIo};
     use lorentz_types::{
         CustomerId, PathKey, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId,
     };
@@ -694,11 +653,17 @@ mod tests {
     /// opened with the recovery asserted empty/clean. Every test reopens
     /// through [`reopen`] to avoid repeating the unwrap chain.
     fn fresh_wal(name: &str) -> (PathBuf, SignalWal) {
+        faulted_wal(name, FaultyIo::new(RealIo))
+    }
+
+    /// [`fresh_wal`] appending through `io`, whose faults only this log
+    /// sees.
+    fn faulted_wal(name: &str, io: FaultyIo) -> (PathBuf, SignalWal) {
         let dir = std::env::temp_dir().join(format!("lorentz-wal-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("signals.wal");
-        let (wal, recovery) = SignalWal::open(&path).unwrap();
+        let (wal, recovery) = SignalWal::open_with(&path, Box::new(io)).unwrap();
         assert!(recovery.signals.is_empty());
         assert_eq!(recovery.torn_tail_bytes, 0);
         (path, wal)
@@ -975,51 +940,86 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn transient_append_faults_are_retried() {
-        let (path, mut wal) = fresh_wal("retry");
-        lorentz_fault::registry().configure(
-            "personalizer.wal.append",
-            lorentz_fault::Trigger::Once,
-            lorentz_fault::FailAction::Interrupted,
-        );
+        let io = FaultyIo::new(RealIo).fail(Op::Append, 1..=1, Fault::Transient);
+        let (path, mut wal) = faulted_wal("retry", io);
         wal.append_record(&record(1, 1.0, 2)).unwrap();
-        lorentz_fault::registry().clear();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, vec![signal(1, 1.0)]);
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn permanent_append_faults_surface() {
-        let (_path, mut wal) = fresh_wal("permanent");
-        lorentz_fault::registry().configure(
-            "personalizer.wal.append",
-            lorentz_fault::Trigger::Always,
-            lorentz_fault::FailAction::Error,
-        );
+        let io = FaultyIo::new(RealIo).fail(Op::Append, 1.., Fault::Permanent);
+        let (_path, mut wal) = faulted_wal("permanent", io);
         let err = wal.append_record(&record(1, 1.0, 2)).unwrap_err();
-        lorentz_fault::registry().clear();
         assert!(matches!(err, StoreError::Io { .. }));
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn flipped_bit_appends_are_caught_on_replay() {
-        let (path, mut wal) = fresh_wal("flip");
+        let io = FaultyIo::new(RealIo).fail(Op::Append, 2..=2, Fault::FlipBit(100));
+        let (path, mut wal) = faulted_wal("flip", io);
         wal.append_record(&record(1, 1.0, 2)).unwrap();
-        lorentz_fault::registry().configure(
-            "personalizer.wal.append",
-            lorentz_fault::Trigger::Once,
-            lorentz_fault::FailAction::FlipBit(100),
-        );
         wal.append_record(&record(2, 1.0, 3)).unwrap();
-        lorentz_fault::registry().clear();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, vec![signal(1, 1.0)]);
         assert!(recovery.torn_tail_bytes > 0);
+    }
+
+    #[test]
+    fn kill_mid_append_keeps_the_intact_prefix() {
+        // A term marker and one signal commit whole; the second signal's
+        // append dies half-written, as a process killed mid-append leaves
+        // its log. The restart replays the intact prefix and truncates
+        // exactly the torn half-frame.
+        let io = FaultyIo::new(RealIo).fail(Op::Append, 3..=3, Fault::Tear(0.5));
+        let (path, mut wal) = faulted_wal("kill-mid-append", io);
+        wal.append_term(1).unwrap();
+        wal.append_record(&record(8, 1.0, 2)).unwrap();
+        let torn = frame_record(&record(8, 1.0, 3)).unwrap();
+        assert!(wal.append_record(&record(8, 1.0, 3)).is_err());
+        drop(wal);
+        let (_wal, recovery) = reopen(&path);
+        assert_eq!(recovery.signals, vec![signal(8, 1.0)]);
+        assert_eq!((recovery.last_epoch, recovery.last_term), (2, 1));
+        assert_eq!(recovery.torn_tail_bytes, torn.len() / 2);
+        let (_wal, again) = reopen(&path);
+        assert_eq!(again.torn_tail_bytes, 0, "the tail was truncated");
+    }
+
+    #[test]
+    fn a_faulted_log_leaves_a_clean_one_alone() {
+        // Two logs in one process, appended from parallel threads: every
+        // append to the faulted one tears, and the clean one must still
+        // replay exactly what was appended to it.
+        let io = FaultyIo::new(RealIo).fail(Op::Append, 1.., Fault::Tear(0.5));
+        let (faulted_path, mut faulted) = faulted_wal("parallel-faulted", io);
+        let (clean_path, mut clean) = fresh_wal("parallel-clean");
+        let records: Vec<WalRecord> = (0..64).map(|i| record(i, 1.0, u64::from(i) + 2)).collect();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for r in &records {
+                    assert!(faulted.append_record(r).is_err());
+                }
+            });
+            scope.spawn(|| {
+                for r in &records {
+                    clean.append_record(r).unwrap();
+                }
+            });
+        });
+        drop((faulted, clean));
+        let (_wal, recovery) = reopen(&clean_path);
+        let signals: Vec<_> = records.iter().map(|r| r.signal).collect();
+        assert_eq!(recovery.signals, signals);
+        assert_eq!(recovery.last_epoch, 65);
+        assert_eq!(recovery.torn_tail_bytes, 0);
+        let (_wal, torn) = reopen(&faulted_path);
+        assert!(torn.signals.is_empty());
+        assert!(torn.torn_tail_bytes > 0);
     }
 }

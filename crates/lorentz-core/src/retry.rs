@@ -41,16 +41,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries — one attempt, no delays.
-    pub fn no_retries() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-}
-
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

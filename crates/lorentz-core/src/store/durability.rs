@@ -22,14 +22,14 @@
 //!   `store.recovery.fallbacks`; a corrupt or missing manifest degrades to
 //!   a directory scan. Only when every candidate fails does load give up.
 //!
-//! All I/O goes through the injectable [`SnapshotIo`] seam, and the commit
-//! point carries a `fail_point!("store.save.commit")`, so the fault suite
-//! can tear writes and kill the process mid-save deterministically.
+//! All I/O goes through the injectable [`SnapshotIo`] seam, so a test that
+//! opens the store with a scripted `FaultyIo` can tear, corrupt, or fail
+//! any one write or read deterministically.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use lorentz_fault::{default_io, fail_point, RealIo, SnapshotIo};
+use lorentz_fault::{default_io, RealIo, SnapshotIo};
 use lorentz_types::StoreCorruption;
 use serde::{Deserialize, Serialize};
 use thiserror::Error;
@@ -192,9 +192,8 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Opens a durable store rooted at `dir`, using the default I/O
-    /// implementation (fault-injectable under the `fault-injection`
-    /// feature, plain filesystem otherwise).
+    /// Opens a durable store rooted at `dir` on the plain filesystem
+    /// ([`RealIo`]).
     pub fn open(dir: impl Into<PathBuf>) -> Self {
         Self::with_io(dir, default_io())
     }
@@ -326,9 +325,8 @@ impl DurableStore {
             .map_err(|e| StoreError::Serialize(format!("{e}")))?;
         self.write_with_retry(&self.manifest_path(), manifest_json.as_bytes())?;
 
-        // The commit point: a crash here must leave a loadable store.
-        fail_point!("store.save.commit");
-
+        // The commit point: a crash here must leave a loadable store
+        // (pruning is only cleanup; the next save redoes it).
         for &old in known.iter().filter(|g| !retained.contains(g)) {
             let _ = self.io.remove(&self.gen_path(old));
         }

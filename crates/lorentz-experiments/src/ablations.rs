@@ -14,9 +14,7 @@
 use crate::common::{self, Scale};
 use lorentz_core::evaluate;
 use lorentz_core::PersonalizerConfig;
-use lorentz_core::{
-    HierarchicalProvisioner, LorentzPipeline, ModelKind, Provisioner, Rightsizer, RightsizerConfig,
-};
+use lorentz_core::{LorentzPipeline, ModelKind, Rightsizer, RightsizerConfig};
 use lorentz_hierarchy::{learn_hierarchy, HierarchyConfig};
 use lorentz_ml::{
     GradientBoosting, GradientBoostingConfig, MissingPolicy, TargetEncoder, TargetStatistic,
@@ -481,26 +479,6 @@ pub fn model_family(scale: Scale) -> ModelFamilyResult {
         println!("{name:>14}: held-out log2 RMSE {rmse:.3}");
     }
     ModelFamilyResult { rmse_log2 }
-}
-
-/// Runs hierarchical-provisioner ablation support: the per-level share of
-/// recommendations (used by docs/tests).
-pub fn hierarchical_match_levels(
-    model: &HierarchicalProvisioner,
-    profiles: &ProfileTable,
-    rows: &[usize],
-) -> Vec<usize> {
-    let mut counts = vec![0usize; model.chain().len() + 1]; // +1 = fallback
-    for &row in rows {
-        let (_, expl) = model
-            .recommend(&profiles.row(row))
-            .expect("recommendation succeeds");
-        match expl {
-            lorentz_core::Explanation::HierarchicalBucket { level, .. } => counts[level] += 1,
-            _ => *counts.last_mut().expect("non-empty") += 1,
-        }
-    }
-    counts
 }
 
 #[cfg(test)]

@@ -1,143 +1,40 @@
 //! Deterministic fault injection for the Lorentz serving system.
 //!
-//! Production recommenders live or die by how they behave when the world
-//! misbehaves: torn snapshot writes, transient I/O errors, bit rot, and
-//! panicking request handlers. This crate makes those failures *injectable
-//! and deterministic* so the rest of the workspace can test its recovery
-//! paths:
+//! Torn snapshot writes, torn WAL appends, transient I/O errors and bit
+//! rot, made *injectable and deterministic* through one seam:
 //!
-//! * **Fail points** — named hooks compiled into cold paths
-//!   (`fail_point!("store.save.commit")`). A process-wide
-//!   [`FailPointRegistry`] decides whether a hook fires, with
-//!   deterministic triggers: always, exactly once, after the first N hits,
-//!   or with a seeded probability. Actions cover panics, process aborts,
-//!   transient/permanent I/O errors, partial (torn) writes, and single-bit
-//!   corruption.
-//! * **`SnapshotIo`** — the persistence seam used by the durable store:
-//!   atomic write, read, remove, and list. [`RealIo`] is the production
-//!   implementation (`tmp → fsync → rename`); [`FaultyIo`] wraps any
-//!   implementation and injects the registry's `store.write.*` /
-//!   `store.read.*` faults.
-//! * **Compile-out** — everything fires only under the `fault-injection`
-//!   cargo feature. Without it, `fail_point!` expands to nothing and
-//!   [`FaultyIo`] is a transparent pass-through, so production builds pay
-//!   zero overhead.
+//! * **[`SnapshotIo`]** — the persistence trait the durable store and the
+//!   signal WAL do all their file I/O through: atomic write, read, remove,
+//!   list, and append. [`RealIo`] is the production implementation
+//!   (`tmp → fsync → rename` for snapshots, `write_all` for appends), and
+//!   [`default_io`] returns it.
+//! * **[`FaultyIo`]** — a decorator that carries its own script: a
+//!   [`Fault`] (tear at a fraction, flip a bit, transient or permanent
+//!   error) on chosen calls of an [`Op`]. Faults belong to the value a test
+//!   builds, not to the process, so parallel tests never fire each
+//!   other's faults and production code has nothing to switch off.
 //!
-//! Fail points can also be configured from the `LORENTZ_FAILPOINTS`
-//! environment variable (`name=action[@trigger];...`), which is how the
-//! kill-mid-write crash tests drive a child `lorentz train` process. See
-//! [`init_from_env`].
+//! Faults outside the disk live with their owners: torn network frames
+//! come from a proxy on the test side of the socket (`lorentz-chaos`'s
+//! `FaultProxy`), and the serving engine's worker-panic trigger exists
+//! only in its own unit tests.
 //!
 //! ```
-//! use lorentz_fault::{FailAction, Trigger};
+//! use lorentz_fault::{Fault, FaultyIo, Op, RealIo, SnapshotIo};
 //!
-//! // Deterministic: the point passes twice, then fires forever.
-//! lorentz_fault::registry().configure(
-//!     "doc.example",
-//!     Trigger::After(2),
-//!     FailAction::Error,
-//! );
-//! # #[cfg(feature = "fault-injection")]
-//! # {
-//! assert!(lorentz_fault::registry().hit("doc.example").is_none());
-//! assert!(lorentz_fault::registry().hit("doc.example").is_none());
-//! assert_eq!(
-//!     lorentz_fault::registry().hit("doc.example"),
-//!     Some(FailAction::Error)
-//! );
-//! # }
-//! lorentz_fault::registry().clear();
+//! let dir = std::env::temp_dir().join(format!("lorentz-fault-doc-{}", std::process::id()));
+//! let path = dir.join("snap.bin");
+//! // The second write commits only half its bytes, yet reports success.
+//! let io = FaultyIo::new(RealIo).fail(Op::Write, 2..=2, Fault::Tear(0.5));
+//! io.write_atomic(&path, b"12345678").unwrap();
+//! io.write_atomic(&path, b"abcdefgh").unwrap();
+//! assert_eq!(io.read(&path).unwrap(), b"abcd");
+//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod io;
-pub mod registry;
 
-pub use io::{default_io, FaultyIo, RealIo, SnapshotIo};
-pub use registry::{registry, FailAction, FailPointRegistry, Trigger};
-
-/// Configures the global registry from the `LORENTZ_FAILPOINTS`
-/// environment variable and returns how many points were configured.
-///
-/// The spec grammar is `name=action[@trigger]` entries separated by `;`:
-///
-/// * actions: `panic`, `abort`, `error`, `interrupted`, `partial(FRAC)`,
-///   `flip(BIT)`
-/// * triggers: `@once`, `@after(N)`, `@prob(P)` (default: always)
-///
-/// `LORENTZ_FAILPOINTS_SEED` (a `u64`) seeds the probability-trigger RNG.
-/// Without the `fault-injection` feature this is a no-op returning
-/// `Ok(0)`.
-///
-/// # Errors
-/// Returns the offending spec fragment when the variable does not parse.
-pub fn init_from_env() -> Result<usize, String> {
-    #[cfg(feature = "fault-injection")]
-    {
-        if let Ok(seed) = std::env::var("LORENTZ_FAILPOINTS_SEED") {
-            let seed: u64 = seed
-                .parse()
-                .map_err(|_| format!("LORENTZ_FAILPOINTS_SEED '{seed}' is not a u64"))?;
-            registry().seed(seed);
-        }
-        match std::env::var("LORENTZ_FAILPOINTS") {
-            Ok(spec) => registry().configure_from_spec(&spec),
-            Err(_) => Ok(0),
-        }
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        Ok(0)
-    }
-}
-
-/// The default interpretation of a fired action at a bare
-/// `fail_point!(name)` site: panics for [`FailAction::Panic`], aborts the
-/// process for [`FailAction::Abort`], and ignores I/O-shaped actions that
-/// only make sense inside [`FaultyIo`].
-pub fn act_default(name: &str, action: &FailAction) {
-    match action {
-        FailAction::Panic => panic!("fail point '{name}' injected a panic"),
-        FailAction::Abort => std::process::abort(),
-        _ => {}
-    }
-}
-
-/// A named fault-injection hook.
-///
-/// Two forms:
-///
-/// * `fail_point!("name")` — when the registry fires, applies the default
-///   interpretation ([`act_default`]): `panic` panics, `abort` aborts,
-///   anything else is ignored.
-/// * `fail_point!("name", |action| expr)` — when the registry fires, the
-///   enclosing function **returns** the handler's value, so sites can map
-///   an action to an early `Err(...)`.
-///
-/// Without the `fault-injection` feature both forms expand to nothing.
-#[cfg(feature = "fault-injection")]
-#[macro_export]
-macro_rules! fail_point {
-    ($name:expr) => {
-        if let Some(__fp_action) = $crate::registry().hit($name) {
-            $crate::act_default($name, &__fp_action);
-        }
-    };
-    ($name:expr, $handler:expr) => {
-        if let Some(__fp_action) = $crate::registry().hit($name) {
-            #[allow(clippy::redundant_closure_call)]
-            return $handler(__fp_action);
-        }
-    };
-}
-
-/// A named fault-injection hook (disabled: the `fault-injection` feature
-/// is off, so every site compiles to nothing).
-#[cfg(not(feature = "fault-injection"))]
-#[macro_export]
-macro_rules! fail_point {
-    ($name:expr) => {};
-    ($name:expr, $handler:expr) => {};
-}
+pub use io::{default_io, Fault, FaultyIo, Op, RealIo, SnapshotIo};

@@ -314,11 +314,6 @@ impl DecisionTree {
             .count()
     }
 
-    /// Total node count.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Accumulates per-feature split gains into `importance` (length must
     /// cover every feature index used by the tree).
     pub fn accumulate_importance(&self, importance: &mut [f64]) {

@@ -13,7 +13,6 @@ use lorentz_core::{
     RecommendEngine, RecommendRequest, SatisfactionSignal, ShardedPredictionStore, SignalWal,
     StoreOnly, TrainedLorentz,
 };
-use lorentz_fault::fail_point;
 use lorentz_types::{LorentzError, ResourcePath};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -729,7 +728,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Serves one dequeued job: deadline check, then the degraded store path or
 /// the live model. Returns the response and whether the deadline expired.
 fn serve_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
-    fail_point!("serve.worker.panic");
+    #[cfg(test)]
+    if job.request.id == tests::PANIC_ID {
+        panic!("injected worker panic");
+    }
     let Job {
         request,
         submitted_at,
@@ -780,4 +782,78 @@ fn serve_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
         },
         timed_out,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lorentz_types::{CustomerId, ResourceGroupId, ServerOffering, SubscriptionId};
+
+    /// The request id a worker panics on, in test builds only.
+    pub(super) const PANIC_ID: u64 = u64::MAX;
+
+    #[test]
+    fn a_worker_panic_is_answered_and_the_worker_restarts() {
+        let deployment = crate::test_deployment();
+        // A single worker makes the restart deterministic: the panic
+        // strands the rest of the queue, which only a supervisor-spawned
+        // replacement can serve.
+        let (engine, responses) = ServingEngine::start(
+            Arc::clone(&deployment),
+            ServeConfig {
+                workers: 1,
+                degraded_threshold: None,
+                default_deadline: None,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("engine start");
+
+        // Exactly one job panics mid-handler; the rest must be unaffected.
+        let total = 24u64;
+        for i in 0..total {
+            engine
+                .submit(ServeRequest {
+                    id: if i == 3 { PANIC_ID } else { i },
+                    profile: vec![None; deployment.profiles().schema().len()],
+                    offering: ServerOffering::GeneralPurpose,
+                    path: ResourcePath::new(CustomerId(0), SubscriptionId(0), ResourceGroupId(0)),
+                    deadline: None,
+                })
+                .unwrap();
+        }
+        let stats = engine.drain();
+
+        // The drain ledger closes exactly, panic included: the panicked
+        // request is still an *answered* request.
+        assert_eq!(stats.submitted, total);
+        assert_eq!(stats.rejected, 0);
+        assert_eq!(stats.submitted, stats.accepted + stats.rejected);
+        assert_eq!(stats.accepted, stats.answered);
+        assert_eq!(stats.panicked, 1, "exactly one injected panic");
+
+        let mut panicked = 0u64;
+        let mut answered = 0u64;
+        for response in responses {
+            answered += 1;
+            match response.result {
+                Err(ServeError::Panicked(msg)) => {
+                    panicked += 1;
+                    assert_eq!(response.id, PANIC_ID);
+                    assert_eq!(msg, "injected worker panic", "the payload is carried");
+                }
+                Err(other) => panic!("unexpected error: {other:?}"),
+                Ok(_) => {}
+            }
+        }
+        assert_eq!(answered, total, "every accepted request got a response");
+        assert_eq!(panicked, 1, "exactly one Panicked response");
+
+        // The supervisor replaced the crashed worker and the counters
+        // agree. No other test in this binary panics a worker.
+        let snapshot = obs::snapshot();
+        assert_eq!(snapshot.counter("engine.worker_panics"), Some(1));
+        let restarts = snapshot.counter("engine.worker_restarts").unwrap_or(0);
+        assert!(restarts >= 1, "worker must have been restarted: {restarts}");
+    }
 }

@@ -872,7 +872,7 @@ fn full_resync(
 mod tests {
     use super::*;
     use lorentz_core::personalizer::WalRecord;
-    use lorentz_core::SatisfactionSignal;
+    use lorentz_fault::{Fault, FaultyIo, Op, RealIo};
     use lorentz_types::{
         CustomerId, LambdaDelta, PathKey, ResourceGroupId, ResourcePath, ServerOffering,
         SubscriptionId,
@@ -888,6 +888,87 @@ mod tests {
             signal,
             delta: LambdaDelta::new(epoch, vec![(PathKey::new(path(c)), [0.0, lambda, 0.0])]),
         }
+    }
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// A follower persists every replicated frame before applying it, so
+    /// when an append fails it applies nothing from that frame on and
+    /// halts: its λ never gets ahead of its replica WAL, and the replica
+    /// WAL stays a byte prefix of the leader's. Otherwise a restart — which
+    /// resumes from the highest epoch on disk — would never re-apply the
+    /// lost delta.
+    #[test]
+    fn a_follower_halts_instead_of_applying_a_frame_it_could_not_persist() {
+        let dir = std::env::temp_dir().join(format!("lorentz-fail-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (wal, local) = (dir.join("leader.wal"), dir.join("replica.wal"));
+        let deployment = crate::test_deployment();
+        let (leader, _responses) =
+            ServingEngine::start_with_wal(Arc::clone(&deployment), ServeConfig::default(), &wal)
+                .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let repl = serve_replication(&leader, listener, ReplicationConfig::default()).unwrap();
+
+        // The replica WAL's first append (the leader's term-1 marker)
+        // passes; every later one fails. Only this log sees the fault.
+        let io = FaultyIo::new(RealIo).fail(Op::Append, 2.., Fault::Permanent);
+        let (replica, recovery) = SignalWal::open_with(&local, Box::new(io)).unwrap();
+        let replica = ReplicaWal {
+            wal: replica,
+            last_term: recovery.last_term,
+        };
+        let source = TcpSource::connect_with_term(repl.local_addr().to_string(), 0, 0).unwrap();
+        let shared =
+            FollowerEngine::make_shared(Arc::clone(&deployment), FollowerConfig::default());
+        let follower =
+            FollowerEngine::finish_start(shared, Box::new(source), Some(replica)).unwrap();
+        wait_until("the term-1 marker", || follower.stats().leader_term == 1);
+        let hot = path(7);
+        let batch_lambda = deployment
+            .personalizer()
+            .lambda(&hot, ServerOffering::GeneralPurpose);
+        let batch_version = follower.lambda_version();
+
+        let signal = SatisfactionSignal::new(hot, ServerOffering::GeneralPurpose, 1.0).unwrap();
+        leader.submit_feedback(signal).unwrap();
+        leader.flush_feedback();
+        wait_until("the follower to halt", || {
+            matches!(follower.state(), ReplicaState::Halted(_))
+        });
+        match follower.state() {
+            ReplicaState::Halted(why) => assert!(why.contains("replica WAL"), "{why}"),
+            other => panic!("expected a halt, got {other:?}"),
+        }
+        assert_eq!(follower.stats().applied, 0);
+        let served = follower
+            .lambda_snapshot()
+            .lambda(&hot, ServerOffering::GeneralPurpose);
+        assert_eq!(
+            served.to_bits(),
+            batch_lambda.to_bits(),
+            "λ ran ahead of the WAL"
+        );
+        assert_eq!(follower.lambda_version(), batch_version);
+        follower.stop();
+        drop(repl);
+        drop(leader);
+
+        let leader_bytes = std::fs::read(&wal).unwrap();
+        let replica_bytes = std::fs::read(&local).unwrap();
+        assert!(replica_bytes.len() < leader_bytes.len());
+        assert!(
+            leader_bytes.starts_with(&replica_bytes),
+            "the replica WAL must be a byte prefix of the leader's"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -161,3 +161,27 @@ pub use replication::{
 pub use types::{
     EngineError, EngineStats, RequestError, ServeConfig, ServeError, ServeRequest, ServeResponse,
 };
+
+/// The deployment the crate's unit tests serve: the 80-server fleet the
+/// integration suites train, trained once per test binary.
+#[cfg(test)]
+fn test_deployment() -> std::sync::Arc<lorentz_core::TrainedLorentz> {
+    use lorentz_core::{LorentzConfig, LorentzPipeline};
+    use lorentz_simdata::fleet::FleetConfig;
+    use std::sync::{Arc, OnceLock};
+    static DEPLOYMENT: OnceLock<Arc<lorentz_core::TrainedLorentz>> = OnceLock::new();
+    DEPLOYMENT
+        .get_or_init(|| {
+            let fleet = FleetConfig {
+                n_servers: 80,
+                seed: 20240807,
+                ..FleetConfig::default()
+            }
+            .generate()
+            .unwrap()
+            .fleet;
+            let pipeline = LorentzPipeline::new(LorentzConfig::paper_defaults()).unwrap();
+            Arc::new(pipeline.train(&fleet).unwrap())
+        })
+        .clone()
+}

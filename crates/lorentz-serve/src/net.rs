@@ -33,7 +33,6 @@ use crate::engine::ServingEngine;
 use crate::types::{EngineStats, ServeResponse};
 use crate::wire::{self, ClientFrame, WireError};
 use lorentz_core::{obs, TrainedLorentz};
-use lorentz_fault::fail_point;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -165,20 +164,6 @@ impl Ctx {
     }
 }
 
-/// Consults a `serve.net.*` fail point (compiled out without the
-/// `fault-injection` feature).
-fn net_fail(name: &str) -> Option<lorentz_fault::FailAction> {
-    #[cfg(feature = "fault-injection")]
-    {
-        lorentz_fault::registry().hit(name)
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        let _ = name;
-        None
-    }
-}
-
 /// Runs the TCP front end over an already-bound listener until a client
 /// sends `{"op": "drain"}`, then drains the engine and returns the
 /// combined report. Blocks the calling thread for the server's lifetime.
@@ -218,14 +203,6 @@ pub fn serve_net(
     while !ctx.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if let Some(action) = net_fail("serve.net.accept") {
-                    lorentz_fault::act_default("serve.net.accept", &action);
-                    // I/O-shaped actions refuse the connection.
-                    ctx.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-                    obs::NET_DISCONNECTS.inc();
-                    drop(stream);
-                    continue;
-                }
                 let _ = stream.set_nodelay(true);
                 let conn_id = next_conn_id;
                 next_conn_id += 1;
@@ -334,30 +311,9 @@ fn dispatch_loop(ctx: &Ctx, responses: &Receiver<ServeResponse>) {
 }
 
 /// Per-connection writer: drains the outbox onto the socket. Exits when
-/// the outbox closes (connection removed) or a write fails. The
-/// `serve.net.write` fail point can tear a frame mid-write and kill the
-/// connection, simulating a server falling over mid-response.
+/// the outbox closes (connection removed) or a write fails.
 fn writer_loop(ctx: &Ctx, mut stream: TcpStream, outbox: &Receiver<Vec<u8>>) {
     for payload in outbox {
-        if let Some(action) = net_fail("serve.net.write") {
-            lorentz_fault::act_default("serve.net.write", &action);
-            if let lorentz_fault::FailAction::Partial(frac) = action {
-                // Torn response: ship the length prefix plus a prefix of
-                // the payload, then kill the connection. The client sees
-                // a truncated frame, never a corrupt-but-complete one.
-                let keep = ((payload.len() as f64) * frac.clamp(0.0, 1.0)) as usize;
-                let mut torn = Vec::with_capacity(4 + keep);
-                torn.extend_from_slice(&u32::try_from(payload.len()).unwrap_or(0).to_be_bytes());
-                torn.extend_from_slice(&payload[..keep]);
-                use std::io::Write;
-                let _ = stream.write_all(&torn);
-                let _ = stream.flush();
-            }
-            ctx.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-            obs::NET_DISCONNECTS.inc();
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
         if wire::write_frame(&mut stream, &payload).is_err() {
             ctx.counters.disconnects.fetch_add(1, Ordering::Relaxed);
             obs::NET_DISCONNECTS.inc();
@@ -377,7 +333,6 @@ fn writer_loop(ctx: &Ctx, mut stream: TcpStream, outbox: &Receiver<Vec<u8>>) {
 fn reader_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     loop {
-        fail_point!("serve.net.read");
         let payload = match wire::read_frame(&mut reader, ctx.max_frame_len) {
             Ok(payload) => payload,
             Err(WireError::Closed) => break,

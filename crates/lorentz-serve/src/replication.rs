@@ -31,13 +31,10 @@
 //! leader's replication listener over a socket (a standby on the leader's
 //! machine dials loopback); tests inject their own sources through the
 //! same seam. The [`FollowerEngine`](crate::FollowerEngine) drives every
-//! source through one apply path.
-//!
-//! Fail points (compiled in with the `fault-injection` feature):
-//! `serve.replication.send` fires on every leader→follower frame send;
-//! its `partial(F)` action ships a prefix of the frame and kills the
-//! connection, simulating a leader dying mid-send — the follower's codec
-//! sees a torn frame, discards it, and resumes from its last good epoch.
+//! source through one apply path. A frame torn mid-send (a leader dying,
+//! or a link cut, mid-frame) fails the follower's CRC check like a torn
+//! disk write: the follower drops the connection, resubscribes, and
+//! resumes from its last good epoch.
 
 use crate::engine::ServingEngine;
 use crate::wire::{self, WireError};
@@ -237,41 +234,6 @@ impl ReplicationHub {
             .unwrap_or(0);
         obs::ENGINE_REPLICATION_MAX_FOLLOWER_LAG.set(max_lag as i64);
     }
-}
-
-/// Consults a `serve.replication.*` fail point (compiled out without the
-/// `fault-injection` feature).
-fn repl_fail(name: &str) -> Option<lorentz_fault::FailAction> {
-    #[cfg(feature = "fault-injection")]
-    {
-        lorentz_fault::registry().hit(name)
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        let _ = name;
-        None
-    }
-}
-
-/// Puts one replicated frame on a follower's socket. The
-/// `serve.replication.send` fail point can tear the frame mid-send and
-/// kill the connection — the follower's CRC framing rejects the torn
-/// record, exactly as it rejects a torn disk write.
-fn send_frame(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
-    if let Some(action) = repl_fail("serve.replication.send") {
-        lorentz_fault::act_default("serve.replication.send", &action);
-        if let lorentz_fault::FailAction::Partial(frac) = action {
-            let keep = ((frame.len() as f64) * frac.clamp(0.0, 1.0)) as usize;
-            let _ = stream.write_all(&frame[..keep]);
-            let _ = stream.flush();
-        }
-        let _ = stream.shutdown(Shutdown::Both);
-        return Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "injected replication send fault",
-        ));
-    }
-    stream.write_all(frame)
 }
 
 /// A running replication listener, returned by [`serve_replication`].
@@ -502,7 +464,7 @@ fn handle_follower(
     let floor = replay.log_last_epoch;
     let mut ok = true;
     for frame in &replay.frames {
-        if send_frame(&mut stream, frame).is_err() {
+        if stream.write_all(frame).is_err() {
             ok = false;
             break;
         }
@@ -516,7 +478,7 @@ fn handle_follower(
                 if epoch <= floor {
                     continue;
                 }
-                if send_frame(&mut stream, &frame).is_err() {
+                if stream.write_all(&frame).is_err() {
                     break;
                 }
                 obs::ENGINE_REPLICATION_BYTES_SENT.add(frame.len() as u64);

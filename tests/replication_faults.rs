@@ -1,19 +1,15 @@
-//! Fault injection on the replication stream, driven by the
-//! `serve.replication.send` fail point: a frame torn mid-send kills that
-//! follower's connection, but the follower never applies the torn bytes —
-//! it reconnects, resumes from its last applied epoch, and converges
-//! bit-for-bit anyway.
-//!
-//! Run with `cargo test --features fault-injection --test replication_faults`.
+//! A replication frame torn mid-send. The follower subscribes through a
+//! `FaultProxy` that forwards part of one frame and then severs the link —
+//! the leader falling over mid-send, as the follower sees it. The follower
+//! never applies the torn bytes: it reconnects, resumes from its last
+//! applied epoch, and converges bit-for-bit anyway.
 
-#![cfg(feature = "fault-injection")]
-
-use lorentz::fault::{registry, FailAction, Trigger};
 use lorentz::serve::{
     serve_replication, FollowerConfig, FollowerEngine, ReplicationConfig, ServeConfig,
     ServingEngine,
 };
 use lorentz::types::ServerOffering;
+use lorentz_chaos::proxy::FaultProxy;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -30,7 +26,8 @@ fn torn_replication_send_is_survived_by_reconnect_and_resume() {
         ServingEngine::start_with_wal(deployment(), ServeConfig::default(), &wal).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let repl = serve_replication(&leader, listener, ReplicationConfig::default()).unwrap();
-    let addr = repl.local_addr().to_string();
+    let proxy = FaultProxy::start(repl.local_addr()).unwrap();
+    let addr = proxy.local_addr().to_string();
 
     let follower = FollowerEngine::start_tcp(
         deployment(),
@@ -42,16 +39,16 @@ fn torn_replication_send_is_survived_by_reconnect_and_resume() {
     )
     .unwrap();
 
-    // Feed one signal through cleanly, then tear the next replicated frame
-    // at 40% and kill the connection — the leader falling over mid-send,
-    // as the follower sees it.
+    // Feed one signal through cleanly, then let only the first 40 bytes
+    // of the next replicated frame cross before the link is cut.
     leader.submit_feedback(signal(1.0)).unwrap();
     leader.flush_feedback();
-    registry().configure(
-        "serve.replication.send",
-        Trigger::Once,
-        FailAction::Partial(0.4),
-    );
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while follower.stats().last_epoch < leader.lambda_version() {
+        assert!(Instant::now() < deadline, "follower never caught up");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    proxy.cut_after(40);
     for gamma in [1.0, -0.5] {
         leader.submit_feedback(signal(gamma)).unwrap();
     }
@@ -74,7 +71,7 @@ fn torn_replication_send_is_survived_by_reconnect_and_resume() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(registry().hits("serve.replication.send") >= 1);
+    assert_eq!(proxy.cuts(), 1);
     let replicated = follower
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
@@ -85,5 +82,52 @@ fn torn_replication_send_is_survived_by_reconnect_and_resume() {
 
     // After the reconnect-and-resume dance the replica's local log is
     // still byte-identical to the leader's — no torn frame, no duplicate.
+    assert_eq!(std::fs::read(&wal).unwrap(), std::fs::read(&local).unwrap());
+}
+
+#[test]
+fn a_catch_up_stream_torn_mid_replay_is_resumed() {
+    let dir = TestDir::new("repl-fault-catch-up");
+    let wal = dir.join("leader.wal");
+    let local = dir.join("replica.wal");
+    let (leader, _responses) =
+        ServingEngine::start_with_wal(deployment(), ServeConfig::default(), &wal).unwrap();
+    for gamma in [1.0, 1.0, -0.5] {
+        leader.submit_feedback(signal(gamma)).unwrap();
+    }
+    leader.flush_feedback();
+    let want = leader.lambda_version();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let repl = serve_replication(&leader, listener, ReplicationConfig::default()).unwrap();
+    let proxy = FaultProxy::start(repl.local_addr()).unwrap();
+
+    // The subscription's replay of the leader's log is cut halfway
+    // through: catch-up ends early on a torn frame, and the tail loop
+    // resubscribes from the last epoch it persisted.
+    let frames = std::fs::read(&wal).unwrap().len() as u64;
+    proxy.cut_after(frames / 2);
+    let follower = FollowerEngine::start_tcp(
+        deployment(),
+        &proxy.local_addr().to_string(),
+        FollowerConfig {
+            local_wal: Some(local.clone()),
+            ..FollowerConfig::default()
+        },
+    )
+    .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while follower.stats().last_epoch < want {
+        assert!(
+            Instant::now() < deadline,
+            "follower never resumed the torn catch-up: {:?}",
+            follower.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(proxy.cuts(), 1);
+    let stats = follower.stop();
+    assert_eq!(stats.applied, 3);
+    drop(repl);
+    drop(leader);
     assert_eq!(std::fs::read(&wal).unwrap(), std::fs::read(&local).unwrap());
 }

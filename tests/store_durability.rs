@@ -1,14 +1,14 @@
 //! Durable-store integrity: every `StoreCorruption` branch, recovery
-//! fallback order, and write retries — all without the `fault-injection`
-//! feature, by corrupting the persisted files directly.
+//! fallback order, and write retries — by corrupting the persisted files
+//! directly, or by opening the store on a `FaultyIo` whose script only
+//! that store sees.
 
 use lorentz::core::retry::RetryPolicy;
 use lorentz::core::store::PublishBatch;
 use lorentz::core::{DurableStore, PredictionStore, StoreError};
-use lorentz::fault::{RealIo, SnapshotIo};
+use lorentz::fault::{Fault, FaultyIo, Op, RealIo};
 use lorentz::types::{FeatureId, ServerOffering, StoreCorruption, StoreKey, ValueId};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 
 mod common;
 use common::TestDir;
@@ -182,57 +182,21 @@ fn round_trip_preserves_store_contents() {
     assert_eq!(recovered.store, sample_store(8.0));
 }
 
-/// A [`SnapshotIo`] whose first N writes fail with `Interrupted` — the
-/// retry layer in `DurableStore::save` must absorb them.
-struct FlakyIo {
-    inner: RealIo,
-    failures_left: AtomicU32,
-}
-
-impl SnapshotIo for FlakyIo {
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        if self
-            .failures_left
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "flaky disk",
-            ));
-        }
-        self.inner.write_atomic(path, bytes)
-    }
-
-    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-        self.inner.read(path)
-    }
-
-    fn remove(&self, path: &Path) -> std::io::Result<()> {
-        self.inner.remove(path)
-    }
-
-    fn list(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        self.inner.list(dir)
+/// A retry policy that keeps the transient-error tests fast.
+fn fast_retry(max_attempts: u32) -> RetryPolicy {
+    RetryPolicy {
+        max_attempts,
+        base_delay: std::time::Duration::from_micros(50),
+        max_delay: std::time::Duration::from_micros(200),
+        ..RetryPolicy::default()
     }
 }
 
 #[test]
 fn transient_write_errors_are_retried() {
     let dir = TestDir::new("durable-flaky");
-    let fast_retry = RetryPolicy {
-        base_delay: std::time::Duration::from_micros(50),
-        max_delay: std::time::Duration::from_micros(200),
-        ..RetryPolicy::default()
-    };
-    let durable = DurableStore::with_io(
-        &*dir,
-        Box::new(FlakyIo {
-            inner: RealIo,
-            failures_left: AtomicU32::new(2),
-        }),
-    )
-    .retry_policy(fast_retry);
+    let io = FaultyIo::new(RealIo).fail(Op::Write, 1..=2, Fault::Transient);
+    let durable = DurableStore::with_io(&*dir, Box::new(io)).retry_policy(fast_retry(4));
     assert_eq!(durable.save(&sample_store(4.0)).unwrap(), 1);
     let recovered = durable.load().unwrap();
     assert_eq!(recovered.generation, 1);
@@ -242,19 +206,106 @@ fn transient_write_errors_are_retried() {
 #[test]
 fn persistent_write_errors_surface_as_io_errors() {
     let dir = TestDir::new("durable-dead-disk");
-    let durable = DurableStore::with_io(
-        &*dir,
-        Box::new(FlakyIo {
-            inner: RealIo,
-            failures_left: AtomicU32::new(u32::MAX),
-        }),
-    )
-    .retry_policy(RetryPolicy {
-        max_attempts: 3,
-        base_delay: std::time::Duration::from_micros(10),
-        max_delay: std::time::Duration::from_micros(20),
-        ..RetryPolicy::default()
-    });
+    let io = FaultyIo::new(RealIo).fail(Op::Write, 1.., Fault::Transient);
+    let durable = DurableStore::with_io(&*dir, Box::new(io)).retry_policy(fast_retry(3));
     let err = durable.save(&sample_store(4.0)).unwrap_err();
     assert!(matches!(err, StoreError::Io { .. }), "got: {err}");
+}
+
+/// Saves gen 1 cleanly, then gen 2 through `io`'s third write (gen 1's
+/// data and manifest are writes 1 and 2), and loads through the same `io`.
+fn faulted_second_generation(dir: &Path, io: FaultyIo) -> DurableStore {
+    let durable = DurableStore::with_io(dir, Box::new(io));
+    assert_eq!(durable.save(&sample_store(4.0)).unwrap(), 1);
+    assert_eq!(durable.save(&sample_store(8.0)).unwrap(), 2);
+    durable
+}
+
+#[test]
+fn committed_write_faults_fall_back() {
+    // A torn write and a flipped bit both report success, so the manifest
+    // commits generation 2 exactly as a crash or lying fsync after the data
+    // write would leave it; only its integrity check catches either.
+    for (name, fault) in [
+        ("torn", Fault::Tear(0.5)),
+        ("flipped", Fault::FlipBit(8 * 40)),
+    ] {
+        let dir = TestDir::new(&format!("durable-{name}-write"));
+        let io = FaultyIo::new(RealIo).fail(Op::Write, 3..=3, fault);
+        let durable = faulted_second_generation(&dir, io);
+        assert_falls_back(&durable, |c| {
+            matches!(
+                c,
+                StoreCorruption::Truncated { .. } | StoreCorruption::ChecksumMismatch { .. }
+            )
+        });
+    }
+}
+
+#[test]
+fn read_faults_fall_back_and_clear() {
+    // Each save reads the manifest once, so the first load's manifest
+    // read is read 3 and its generation-2 read is read 4.
+    let dir = TestDir::new("durable-read-faults");
+    let io = FaultyIo::new(RealIo)
+        .fail(Op::Read, 4..=4, Fault::FlipBit(8 * 40))
+        .fail(Op::Read, 7..=7, Fault::Permanent)
+        .fail(Op::Read, 10..=10, Fault::Tear(0.5));
+    let durable = faulted_second_generation(&dir, io);
+    assert_falls_back(&durable, |c| {
+        matches!(c, StoreCorruption::ChecksumMismatch { .. })
+    });
+    assert_falls_back(&durable, |c| matches!(c, StoreCorruption::BadPayload(_)));
+    assert_falls_back(&durable, |c| {
+        matches!(
+            c,
+            StoreCorruption::Truncated { .. } | StoreCorruption::ChecksumMismatch { .. }
+        )
+    });
+    // The files themselves were never damaged.
+    assert_eq!(durable.load().unwrap().generation, 2);
+}
+
+#[test]
+fn a_crash_after_the_manifest_commit_leaves_a_loadable_store() {
+    // The state a process dying right after the manifest commit leaves
+    // behind: the new generation is current, and a generation the manifest
+    // no longer lists was never pruned. Plant it by restoring the pruned
+    // file after a clean save.
+    let dir = TestDir::new("durable-commit-crash");
+    let durable = DurableStore::open(&*dir).keep_generations(2);
+    for capacity in [4.0, 8.0] {
+        durable.save(&sample_store(capacity)).unwrap();
+    }
+    let unpruned = std::fs::read(gen_file(&dir, 1)).unwrap();
+    assert_eq!(durable.save(&sample_store(16.0)).unwrap(), 3);
+    assert!(!gen_file(&dir, 1).exists(), "a clean save prunes gen 1");
+    std::fs::write(gen_file(&dir, 1), unpruned).unwrap();
+
+    let recovered = durable.load().unwrap();
+    assert_eq!(recovered.generation, 3);
+    assert_eq!(recovered.fallbacks, 0);
+    assert_eq!(recovered.store, sample_store(16.0));
+    // The next save numbers past every file on disk and finishes the
+    // interrupted prune.
+    assert_eq!(durable.save(&sample_store(32.0)).unwrap(), 4);
+    assert!(!gen_file(&dir, 1).exists());
+    assert!(!gen_file(&dir, 2).exists());
+    assert_eq!(durable.load().unwrap().generation, 4);
+}
+
+#[test]
+fn unreadable_generations_are_unrecoverable() {
+    // Every read from the first load on fails: the manifest falls back to
+    // a scan, and both scanned generations fail in turn.
+    let dir = TestDir::new("durable-unreadable");
+    let io = FaultyIo::new(RealIo).fail(Op::Read, 3.., Fault::Permanent);
+    let durable = faulted_second_generation(&dir, io);
+    match durable.load().unwrap_err() {
+        StoreError::Unrecoverable { attempts, last } => {
+            assert_eq!(attempts, 2);
+            assert!(matches!(last, StoreCorruption::BadPayload(_)), "{last:?}");
+        }
+        other => panic!("expected Unrecoverable, got: {other}"),
+    }
 }
