@@ -85,6 +85,27 @@ impl Args {
     pub fn has_switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// Refuses every `--key value` flag not named in `flags` and every
+    /// bare switch not named in `switches` (both space-separated), naming
+    /// the first one found.
+    pub fn check_known(&self, flags: &str, switches: &str) -> Result<(), CliError> {
+        let named = |list: &str, name: &str| list.split_whitespace().any(|n| n == name);
+        let unknown = |name: &str, other: &str, why: &str| {
+            CliError::Usage(if named(other, name) {
+                format!("flag --{name} {why}")
+            } else {
+                format!("unknown flag --{name}")
+            })
+        };
+        if let Some(key) = self.flags.keys().find(|k| !named(flags, k)) {
+            return Err(unknown(key, switches, "takes no value"));
+        }
+        if let Some(name) = self.switches.iter().find(|s| !named(switches, s)) {
+            return Err(unknown(name, flags, "needs a value"));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -119,6 +140,22 @@ mod tests {
         assert!(Args::parse(vec!["--".into()]).is_err());
         let a = parse(&["x", "--n", "abc"]);
         assert!(a.get_parse_or("n", 0usize).is_err());
+    }
+
+    #[test]
+    fn undeclared_flags_are_usage_errors_that_name_the_flag() {
+        let a = parse(&["ticket", "--symptoms", "slow", "--json"]);
+        assert!(a.check_known("symptoms", "json").is_ok());
+        for (flags, switches, named) in [
+            ("", "symptoms json", "--symptoms takes no value"),
+            ("", "json", "unknown flag --symptoms"),
+            ("symptoms json", "", "--json needs a value"),
+            ("symptoms", "", "unknown flag --json"),
+        ] {
+            let err = a.check_known(flags, switches).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)));
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]

@@ -59,7 +59,9 @@ USAGE:
                     [--workers N] [--queue-capacity N] [--degraded-at N] [--deadline-ms N]
                     [--kind hierarchical|target-encoding] [--feedback-wal wal.log]
                     [--json] [--metrics-out metrics.json]
-                    (requests.ndjson: one request object per line, same fields as --batch
+                    (--workers, --queue-capacity and --degraded-at size the worker pool
+                     and bounded queue this mode submits through;
+                     requests.ndjson: one request object per line, same fields as --batch
                      plus optional \"id\" and \"deadline_ms\"; a line carrying a \"gamma\"
                      field is a satisfaction signal instead — it updates the live λ-table
                      before later lines serve; --feedback-wal makes signals durable, frames
@@ -76,7 +78,10 @@ USAGE:
                      speaking length-prefixed JSON frames (u32 big-endian byte length,
                      then that many bytes of JSON): request/feedback objects as in
                      --requests mode, {\"op\": \"ping\"} to probe, {\"op\": \"drain\"} to
-                     stop; --shards splits the store and λ-state into N power-of-two
+                     stop; each connection's thread answers its requests itself, in
+                     order, so they are never queued, rejected as saturated or
+                     degraded, and --workers, --queue-capacity and --degraded-at
+                     size only the idle --requests pool; --shards splits the store and λ-state into N power-of-two
                      shards so every λ publish touches one shard (a store publish
                      swaps the whole store in one step); the post-drain
                      ledger and net accounting go to stderr; --replicate-listen
@@ -133,6 +138,55 @@ USAGE:
                      and schedule for one-command replay and exits nonzero)
   lorentz help
 ";
+
+/// A subcommand: its body, then the `--key value` flags and the bare
+/// switches it reads, each space-separated.
+pub type Command = (
+    fn(&Args) -> Result<(), CliError>,
+    &'static str,
+    &'static str,
+);
+
+/// The subcommand called `name`. Any flag or switch it does not declare
+/// is a usage error.
+pub fn lookup(name: &str) -> Option<Command> {
+    Some(match name {
+        "generate" => (generate, "out servers seed base-demand duration-hours", ""),
+        "rightsize" => (rightsize, "fleet", ""),
+        "train" => (
+            train,
+            "fleet out trees min-bucket stage1-threads stage2-threads store-dir metrics-out",
+            "",
+        ),
+        "store-verify" => (store_verify, "store-dir", ""),
+        "recommend" => (
+            recommend,
+            "model batch offering profile customer subscription resource-group source metrics-out",
+            "json",
+        ),
+        "serve" => (
+            serve,
+            concat!(
+                "model kind workers queue-capacity degraded-at deadline-ms shards listen ",
+                "max-frame-len replicate-listen requests feedback-wal follow replica-wal ",
+                "promote-listen promote-after-ms run-ms metrics-out"
+            ),
+            "json await-promotion",
+        ),
+        "wal-verify" => (wal_verify, "wal", ""),
+        "feedback" => (feedback, "model tickets out", ""),
+        "offering" => (offering, "fleet profile", ""),
+        "report" => (report, "fleet", ""),
+        "ticket" => (ticket, "symptoms subject resolution", ""),
+        "persim" => (persim, "iters signal-rate signal-noise sigma seed", ""),
+        "chaos" => (
+            chaos,
+            "seed seeds model work-dir standbys run-ms promote-after-ms",
+            "keep-dirs",
+        ),
+        _ => return None,
+    })
+}
 
 /// `lorentz generate`: synthesize a fleet and write it to JSON.
 pub fn generate(args: &Args) -> Result<(), CliError> {
@@ -702,14 +756,14 @@ fn serve_listen(
 ) -> Result<(), CliError> {
     let listener = std::net::TcpListener::bind(addr).map_err(|e| CliError::io(addr, e))?;
     let local = listener.local_addr().map_err(|e| CliError::io(addr, e))?;
-    let (engine, responses) = match args.get("feedback-wal") {
+    // Connections answer reads on their own threads; the pool the engine
+    // starts beside them serves no TCP request, so its answers go unread.
+    let (engine, _) = match args.get("feedback-wal") {
         Some(wal_path) => ServingEngine::start_with_wal(Arc::clone(&deployment), config, wal_path)?,
         None => ServingEngine::start(Arc::clone(&deployment), config)?,
     };
-    let net_defaults = NetConfig::default();
     let net_config = NetConfig {
-        max_frame_len: args.get_parse_or("max-frame-len", net_defaults.max_frame_len)?,
-        ..net_defaults
+        max_frame_len: args.get_parse_or("max-frame-len", NetConfig::default().max_frame_len)?,
     };
     // Replication fanout rides on its own listener so follower traffic
     // never mixes with client frames.
@@ -727,8 +781,8 @@ fn serve_listen(
         None => None,
     };
     eprintln!("listening on {local} ({} shards)", config.shards);
-    let report = serve_net(deployment, engine, responses, listener, net_config)
-        .map_err(|e| CliError::io(addr, e))?;
+    let report =
+        serve_net(deployment, engine, listener, net_config).map_err(|e| CliError::io(addr, e))?;
     let stats = report.engine;
     eprintln!(
         "served {} requests against store v{}: \
@@ -763,55 +817,31 @@ fn serve_listen(
         None => eprintln!("leader term {}", report.leader_term),
     }
     if args.has_switch("json") {
-        let mut fields = vec![
-            ("submitted".to_owned(), serde::Value::UInt(stats.submitted)),
-            ("accepted".to_owned(), serde::Value::UInt(stats.accepted)),
-            ("answered".to_owned(), serde::Value::UInt(stats.answered)),
-            ("rejected".to_owned(), serde::Value::UInt(stats.rejected)),
-            ("timed_out".to_owned(), serde::Value::UInt(stats.timed_out)),
-            ("degraded".to_owned(), serde::Value::UInt(stats.degraded)),
-            (
-                "feedback_applied".to_owned(),
-                serde::Value::UInt(stats.feedback_applied),
-            ),
-            (
-                "store_version".to_owned(),
-                serde::Value::UInt(report.store_version),
-            ),
-            (
-                "lambda_version".to_owned(),
-                serde::Value::UInt(report.lambda_version),
-            ),
-            (
-                "connections".to_owned(),
-                serde::Value::UInt(report.connections),
-            ),
-            ("frames_in".to_owned(), serde::Value::UInt(report.frames_in)),
-            (
-                "frames_out".to_owned(),
-                serde::Value::UInt(report.frames_out),
-            ),
-            (
-                "frame_errors".to_owned(),
-                serde::Value::UInt(report.frame_errors),
-            ),
-            (
-                "disconnects".to_owned(),
-                serde::Value::UInt(report.disconnects),
-            ),
-            (
-                "dropped_responses".to_owned(),
-                serde::Value::UInt(report.dropped_responses),
-            ),
-            (
-                "leader_term".to_owned(),
-                serde::Value::UInt(report.leader_term),
-            ),
-            (
-                "fenced".to_owned(),
-                serde::Value::Bool(report.fenced_by.is_some()),
-            ),
-        ];
+        let mut fields: Vec<(String, serde::Value)> = [
+            ("submitted", stats.submitted),
+            ("accepted", stats.accepted),
+            ("answered", stats.answered),
+            ("rejected", stats.rejected),
+            ("timed_out", stats.timed_out),
+            ("degraded", stats.degraded),
+            ("feedback_applied", stats.feedback_applied),
+            ("store_version", report.store_version),
+            ("lambda_version", report.lambda_version),
+            ("connections", report.connections),
+            ("frames_in", report.frames_in),
+            ("frames_out", report.frames_out),
+            ("frame_errors", report.frame_errors),
+            ("disconnects", report.disconnects),
+            ("dropped_responses", report.dropped_responses),
+            ("leader_term", report.leader_term),
+        ]
+        .into_iter()
+        .map(|(key, n)| (key.to_owned(), serde::Value::UInt(n)))
+        .collect();
+        fields.push((
+            "fenced".to_owned(),
+            serde::Value::Bool(report.fenced_by.is_some()),
+        ));
         if let Some(observed) = report.fenced_by {
             fields.push(("fenced_by".to_owned(), serde::Value::UInt(observed)));
         }
@@ -1658,6 +1688,31 @@ mod tests {
         assert!(missing_file
             .to_string()
             .contains("/definitely/not/here.json"));
+    }
+
+    #[test]
+    fn every_flag_a_command_reads_is_declared() {
+        // The flags the harnesses pass: sysbench's serve, generate and
+        // train children, the chaos harness's leader and standbys, and CI.
+        for line in [
+            "serve --model m --listen a --shards 8 --workers 2 --json --metrics-out x \
+             --feedback-wal w --replicate-listen r --max-frame-len 9 --queue-capacity 1 \
+             --degraded-at 1 --deadline-ms 1 --kind k",
+            "serve --model m --requests r --follow f --replica-wal w --promote-listen p \
+             --promote-after-ms 1 --run-ms 1 --await-promotion --json",
+            "generate --servers 1 --seed 1 --out o",
+            "train --fleet f --out o --trees 1 --min-bucket 1 --stage2-threads 2 \
+             --metrics-out x --store-dir d",
+            "chaos --seed 1 --keep-dirs --work-dir d",
+            "recommend --model m --batch b --json --source store",
+            "ticket --symptoms s --subject s --resolution r",
+        ] {
+            let parsed = args(&line.split_whitespace().collect::<Vec<_>>());
+            let (_, flags, switches) = lookup(parsed.command.as_deref().unwrap()).unwrap();
+            parsed
+                .check_known(flags, switches)
+                .unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!                   [--follow tcp://HOST:PORT] [--replica-wal wal.log] \
 //!                   [--promote-listen ADDR] [--json] [--metrics-out metrics.json]
 //! lorentz serve     --model model.json --listen 127.0.0.1:0 [--shards 8] \
-//!                   [--workers 4] [--queue-capacity 1024] [--max-frame-len BYTES] \
-//!                   [--replicate-listen tcp://HOST:PORT]
+//!                   [--max-frame-len BYTES] [--replicate-listen tcp://HOST:PORT]
 //! lorentz wal-verify --wal wal.log
 //! lorentz feedback  --model model.json --tickets tickets.ndjson [--out model.json]
 //! lorentz offering  --fleet fleet.json --profile "IndustryName=industryname-1"
@@ -40,27 +39,19 @@ fn main() {
         }
     };
     let result = match args.command.as_deref() {
-        Some("generate") => commands::generate(&args),
-        Some("rightsize") => commands::rightsize(&args),
-        Some("train") => commands::train(&args),
-        Some("store-verify") => commands::store_verify(&args),
-        Some("recommend") => commands::recommend(&args),
-        Some("serve") => commands::serve(&args),
-        Some("wal-verify") => commands::wal_verify(&args),
-        Some("feedback") => commands::feedback(&args),
-        Some("offering") => commands::offering(&args),
-        Some("report") => commands::report(&args),
-        Some("ticket") => commands::ticket(&args),
-        Some("persim") => commands::persim(&args),
-        Some("chaos") => commands::chaos(&args),
         Some("help") | None => {
             print!("{}", commands::USAGE);
             Ok(())
         }
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown command '{other}'\n\n{}",
-            commands::USAGE
-        ))),
+        Some(name) => match commands::lookup(name) {
+            Some((run, flags, switches)) => {
+                args.check_known(flags, switches).and_then(|()| run(&args))
+            }
+            None => Err(CliError::Usage(format!(
+                "unknown command '{name}'\n\n{}",
+                commands::USAGE
+            ))),
+        },
     };
     if let Err(e) = result {
         eprintln!("error: {e}");

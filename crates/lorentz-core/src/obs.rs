@@ -47,7 +47,7 @@
 //! | `engine.answered` | counter | responses emitted (success, error, or deadline) |
 //! | `engine.timed_out` | counter | accepted requests answered with a deadline error |
 //! | `engine.degraded` | counter | requests served from the store because the queue was saturated |
-//! | `engine.worker_panics` | counter | requests whose handler panicked (answered as `Panicked`) |
+//! | `engine.worker_panics` | counter | pool requests whose handler panicked (answered as `Panicked`) |
 //! | `engine.worker_restarts` | counter | crashed workers replaced by the supervisor |
 //! | `engine.e2e.span_ns` | histogram | submit-to-answer latency per request |
 //! | `engine.feedback.accepted` | counter | feedback signals admitted to the λ-writer |
@@ -69,7 +69,7 @@
 //! | `engine.net.frames_out` | counter | response frames written to sockets |
 //! | `engine.net.frame_errors` | counter | frames rejected before reaching the engine |
 //! | `engine.net.disconnects` | counter | connections ended by an I/O error |
-//! | `engine.net.dropped_responses` | counter | responses whose connection vanished first |
+//! | `engine.net.dropped_responses` | counter | reply frames not written because the peer was gone |
 
 use lorentz_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Once;
@@ -144,7 +144,9 @@ pub static ENGINE_TIMED_OUT: Counter = Counter::new();
 /// Requests downgraded from live-model inference to a store lookup because
 /// the queue was saturated at admission.
 pub static ENGINE_DEGRADED: Counter = Counter::new();
-/// Requests whose handler panicked; each is still answered (as `Panicked`).
+/// Pool requests whose handler panicked; each is still answered (as
+/// `Panicked`) and its worker replaced. A panic answered on a TCP
+/// connection's thread is counted in the ledger's `panicked` only.
 pub static ENGINE_WORKER_PANICS: Counter = Counter::new();
 /// Crashed worker threads replaced by the engine's supervisor.
 pub static ENGINE_WORKER_RESTARTS: Counter = Counter::new();
@@ -199,8 +201,8 @@ pub static NET_FRAME_ERRORS: Counter = Counter::new();
 /// Connections that ended with an I/O error instead of a clean close or
 /// drain (half-open peers, mid-frame disconnects, write failures).
 pub static NET_DISCONNECTS: Counter = Counter::new();
-/// Responses dropped because their connection was already gone when the
-/// engine answered.
+/// Reply frames not written because the peer was gone when the
+/// connection wrote them.
 pub static NET_DROPPED_RESPONSES: Counter = Counter::new();
 
 static REGISTRY: Registry = Registry::new();

@@ -21,7 +21,10 @@
 //! a new leader term (a log with no markers recovers as term 0). Any other
 //! payload is [`StoreCorruption::BadPayload`].
 //! Appends are `write_all` + `fsync` under [`retry_with_backoff`], so
-//! transient I/O failures retry and permanent ones surface. A crash
+//! transient I/O failures retry and permanent ones surface. A failed
+//! attempt first cuts the file back to its length before the attempt, so
+//! neither a retry nor the next append lands behind a torn prefix; a log
+//! whose cut itself fails refuses every later append. A crash
 //! mid-append leaves a torn final record; replay verifies each frame's
 //! CRC, keeps every intact prefix record, truncates the torn tail, and
 //! reports how many bytes were dropped — mirroring the newest-first
@@ -149,6 +152,10 @@ pub struct SignalWal {
     path: PathBuf,
     file: File,
     io: Box<dyn SnapshotIo>,
+    /// Bytes of whole records: where the next append starts, and what a
+    /// failed one is cut back to. `None` once a cut failed, which makes
+    /// the log refuse every later append.
+    len: Option<u64>,
 }
 
 impl std::fmt::Debug for SignalWal {
@@ -218,7 +225,12 @@ impl SignalWal {
         file.seek(SeekFrom::Start(good_len as u64))
             .map_err(&io_err)?;
         Ok((
-            Self { path, file, io },
+            Self {
+                path,
+                file,
+                io,
+                len: Some(good_len as u64),
+            },
             WalRecovery {
                 signals,
                 last_epoch,
@@ -350,14 +362,32 @@ impl SignalWal {
             path: self.path.display().to_string(),
             source,
         };
+        self.len = None;
         self.file.set_len(0).map_err(io_err)?;
         self.file.seek(SeekFrom::Start(0)).map_err(io_err)?;
+        self.len = Some(0);
         Ok(())
     }
 
+    /// One append attempt. A failed write or sync is cut back to the
+    /// pre-append length before the error is returned.
     fn append_once(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.io.append(&mut self.file, frame)?;
-        self.file.sync_data()
+        let len = self.len.ok_or_else(|| {
+            io::Error::other("log refuses appends: cutting a failed append back failed")
+        })?;
+        let written = self
+            .io
+            .append(&mut self.file, frame)
+            .and_then(|()| self.file.sync_data());
+        self.len = match written {
+            Ok(()) => Some(len + frame.len() as u64),
+            Err(_) => self
+                .file
+                .set_len(len)
+                .and_then(|()| self.file.seek(SeekFrom::Start(len)))
+                .ok(),
+        };
+        written
     }
 
     /// The leader-side resume cursor: reads the log at `path` and returns
@@ -631,6 +661,7 @@ mod tests {
     use lorentz_types::{
         CustomerId, PathKey, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId,
     };
+    use std::io::Write;
 
     fn signal(c: u32, gamma: f64) -> SatisfactionSignal {
         SatisfactionSignal::new(
@@ -976,13 +1007,19 @@ mod tests {
         // append dies half-written, as a process killed mid-append leaves
         // its log. The restart replays the intact prefix and truncates
         // exactly the torn half-frame.
-        let io = FaultyIo::new(RealIo).fail(Op::Append, 3..=3, Fault::Tear(0.5));
-        let (path, mut wal) = faulted_wal("kill-mid-append", io);
+        let (path, mut wal) = fresh_wal("kill-mid-append");
         wal.append_term(1).unwrap();
         wal.append_record(&record(8, 1.0, 2)).unwrap();
-        let torn = frame_record(&record(8, 1.0, 3)).unwrap();
-        assert!(wal.append_record(&record(8, 1.0, 3)).is_err());
         drop(wal);
+        // A killed writer never gets to cut its torn append back, so the
+        // half-frame is planted on disk directly.
+        let torn = frame_record(&record(8, 1.0, 3)).unwrap();
+        OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&torn[..torn.len() / 2])
+            .unwrap();
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, vec![signal(8, 1.0)]);
         assert_eq!((recovery.last_epoch, recovery.last_term), (2, 1));
@@ -1018,8 +1055,25 @@ mod tests {
         assert_eq!(recovery.signals, signals);
         assert_eq!(recovery.last_epoch, 65);
         assert_eq!(recovery.torn_tail_bytes, 0);
+        // Every torn append was cut back, so the faulted log is empty.
         let (_wal, torn) = reopen(&faulted_path);
         assert!(torn.signals.is_empty());
-        assert!(torn.torn_tail_bytes > 0);
+        assert_eq!(torn.torn_tail_bytes, 0);
+    }
+
+    #[test]
+    fn a_torn_append_is_cut_back_before_the_next_one() {
+        let io = FaultyIo::new(RealIo).fail(Op::Append, 1..=1, Fault::Tear(0.5));
+        let (path, mut wal) = faulted_wal("torn-then-clean", io);
+        let records: Vec<WalRecord> = (0..64).map(|i| record(i, 1.0, u64::from(i) + 2)).collect();
+        assert!(wal.append_record(&records[0]).is_err());
+        for r in &records[1..] {
+            wal.append_record(r).unwrap();
+        }
+        drop(wal);
+        let (_wal, recovery) = reopen(&path);
+        let signals: Vec<_> = records[1..].iter().map(|r| r.signal).collect();
+        assert_eq!(recovery.signals, signals);
+        assert_eq!(recovery.torn_tail_bytes, 0);
     }
 }

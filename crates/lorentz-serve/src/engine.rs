@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 struct Job {
     request: ServeRequest,
     submitted_at: Instant,
-    deadline_at: Option<Instant>,
     degraded: bool,
 }
 
@@ -294,13 +293,7 @@ impl ServingEngine {
     pub fn submit(&self, request: ServeRequest) -> Result<(), ServeError> {
         let now = Instant::now();
         let mut state = self.shared.state.lock().expect("engine state poisoned");
-        state.stats.submitted += 1;
-        obs::ENGINE_SUBMITTED.inc();
-        if !state.intake_open {
-            state.stats.rejected += 1;
-            obs::ENGINE_REJECTED.inc();
-            return Err(ServeError::Draining);
-        }
+        admit(&mut state)?;
         let depth = state.queue.len();
         if depth >= self.shared.config.queue_capacity {
             state.stats.rejected += 1;
@@ -318,20 +311,42 @@ impl ServingEngine {
         }
         state.stats.accepted += 1;
         obs::ENGINE_ACCEPTED.inc();
-        let deadline_at = request
-            .deadline
-            .or(self.shared.config.default_deadline)
-            .map(|d| now + d);
         state.queue.push_back(Job {
             request,
             submitted_at: now,
-            deadline_at,
             degraded,
         });
         obs::ENGINE_QUEUE_DEPTH.set(state.queue.len() as i64);
         drop(state);
         self.shared.work.notify_one();
         Ok(())
+    }
+
+    /// Answers one request on the calling thread: the admission ledger of
+    /// [`ServingEngine::submit`] without the queue, then the live model
+    /// under the same panic boundary a worker uses. Never degraded — there
+    /// is no queue depth to degrade on. The TCP front end answers every
+    /// read this way, on the connection's own thread.
+    ///
+    /// # Errors
+    /// [`ServeError::Draining`] after [`ServingEngine::drain`] has begun;
+    /// the request is then counted as rejected. Every other outcome,
+    /// failures and a caught panic included, is an answered request whose
+    /// [`ServeResponse::result`] says what happened.
+    pub fn answer(&self, request: ServeRequest) -> Result<ServeResponse, ServeError> {
+        let submitted_at = Instant::now();
+        {
+            let mut state = self.shared.state.lock().expect("engine state poisoned");
+            admit(&mut state)?;
+            state.stats.accepted += 1;
+            obs::ENGINE_ACCEPTED.inc();
+        }
+        let job = Job {
+            request,
+            submitted_at,
+            degraded: false,
+        };
+        Ok(run_job(&self.shared, job).0)
     }
 
     /// Offers one satisfaction signal to the λ-writer. Admission mirrors
@@ -415,11 +430,6 @@ impl ServingEngine {
         self.shared.lambdas.version()
     }
 
-    /// Followers currently subscribed to this engine's replication hub.
-    pub fn replication_followers(&self) -> usize {
-        self.shared.replication.subscriber_count()
-    }
-
     /// The leader term this engine serves under (minted or resumed at
     /// start; see [`ServingEngine::start_promoted`]).
     pub fn leader_term(&self) -> u64 {
@@ -463,16 +473,6 @@ impl ServingEngine {
     /// The hot-swap store's current version.
     pub fn store_version(&self) -> u64 {
         self.shared.store.version()
-    }
-
-    /// Requests currently queued (accepted, not yet picked up by a worker).
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("engine state poisoned")
-            .queue
-            .len()
     }
 
     /// A point-in-time copy of the request ledger. Only after
@@ -612,9 +612,9 @@ fn maybe_restart(shared: &Arc<Shared>, tx: &Sender<ServeResponse>) {
 
 /// Worker body: pop jobs until the queue is empty *and* intake is closed,
 /// serving each and emitting exactly one response per job. A panicking
-/// handler is caught at this boundary: the request is answered with
-/// [`ServeError::Panicked`], the ledger is updated, and the loop exits with
-/// [`WorkerExit::Panicked`] so the supervisor can replace the thread.
+/// handler is answered with [`ServeError::Panicked`] by [`run_job`], and
+/// the loop exits with [`WorkerExit::Panicked`] so the supervisor can
+/// replace the thread.
 fn worker_loop(shared: &Shared, tx: &Sender<ServeResponse>) -> WorkerExit {
     loop {
         let job = {
@@ -630,46 +630,63 @@ fn worker_loop(shared: &Shared, tx: &Sender<ServeResponse>) -> WorkerExit {
                 state = shared.work.wait(state).expect("engine state poisoned");
             }
         };
-        // Everything needed to answer the request survives outside the
-        // closure, because the Job moves in and a panic destroys it.
-        let id = job.request.id;
-        let degraded = job.degraded;
-        let submitted_at = job.submitted_at;
-        let outcome = catch_unwind(AssertUnwindSafe(|| serve_job(shared, job)));
-        match outcome {
-            Ok((response, timed_out)) => {
-                {
-                    let mut state = shared.state.lock().expect("engine state poisoned");
-                    state.stats.answered += 1;
-                    if timed_out {
-                        state.stats.timed_out += 1;
-                    }
-                }
-                obs::ENGINE_ANSWERED.inc();
-                // The receiver may have been dropped by an impatient
-                // caller; the answer ledger above is still the source of
-                // truth.
-                let _ = tx.send(response);
+        let (response, panicked) = run_job(shared, job);
+        // The receiver may have been dropped by an impatient caller; the
+        // answer ledger is still the source of truth.
+        let _ = tx.send(response);
+        if panicked {
+            obs::ENGINE_WORKER_PANICS.inc();
+            return WorkerExit::Panicked;
+        }
+    }
+}
+
+/// Counts one offered request and refuses it while intake is closed. The
+/// caller holds the state lock and counts the acceptance itself.
+fn admit(state: &mut State) -> Result<(), ServeError> {
+    state.stats.submitted += 1;
+    obs::ENGINE_SUBMITTED.inc();
+    if !state.intake_open {
+        state.stats.rejected += 1;
+        obs::ENGINE_REJECTED.inc();
+        return Err(ServeError::Draining);
+    }
+    Ok(())
+}
+
+/// Serves one accepted job under the panic boundary and closes its ledger
+/// entry: every job is answered exactly once, and a caught panic is an
+/// answered request carrying [`ServeError::Panicked`]. Returns the
+/// response and whether the handler panicked.
+fn run_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
+    // Everything needed to answer the request survives outside the
+    // closure, because the Job moves in and a panic destroys it.
+    let id = job.request.id;
+    let degraded = job.degraded;
+    let submitted_at = job.submitted_at;
+    let outcome = catch_unwind(AssertUnwindSafe(|| serve_job(shared, job)));
+    let mut state = shared.state.lock().expect("engine state poisoned");
+    state.stats.answered += 1;
+    obs::ENGINE_ANSWERED.inc();
+    match outcome {
+        Ok((response, timed_out)) => {
+            if timed_out {
+                state.stats.timed_out += 1;
             }
-            Err(payload) => {
-                {
-                    let mut state = shared.state.lock().expect("engine state poisoned");
-                    state.stats.answered += 1;
-                    state.stats.panicked += 1;
-                }
-                obs::ENGINE_ANSWERED.inc();
-                obs::ENGINE_WORKER_PANICS.inc();
-                let latency_ns =
-                    u64::try_from(submitted_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                obs::ENGINE_E2E_SPAN_NS.record(latency_ns);
-                let _ = tx.send(ServeResponse {
-                    id,
-                    result: Err(ServeError::Panicked(panic_message(payload.as_ref()))),
-                    degraded,
-                    latency_ns,
-                });
-                return WorkerExit::Panicked;
-            }
+            (response, false)
+        }
+        Err(payload) => {
+            state.stats.panicked += 1;
+            drop(state);
+            let latency_ns = u64::try_from(submitted_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            obs::ENGINE_E2E_SPAN_NS.record(latency_ns);
+            let response = ServeResponse {
+                id,
+                result: Err(ServeError::Panicked(panic_message(payload.as_ref()))),
+                degraded,
+                latency_ns,
+            };
+            (response, true)
         }
     }
 }
@@ -725,21 +742,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Serves one dequeued job: deadline check, then the degraded store path or
-/// the live model. Returns the response and whether the deadline expired.
+/// The request id whose handler panics, in test builds only.
+#[cfg(test)]
+pub(crate) const PANIC_ID: u64 = u64::MAX;
+
+/// Serves one job: deadline check (the request's own deadline, else the
+/// engine default, counted from submission), then the degraded store path
+/// or the live model. Returns the response and whether the deadline
+/// expired.
 fn serve_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
     #[cfg(test)]
-    if job.request.id == tests::PANIC_ID {
+    if job.request.id == PANIC_ID {
         panic!("injected worker panic");
     }
     let Job {
         request,
         submitted_at,
-        deadline_at,
         degraded,
     } = job;
+    let deadline = request.deadline.or(shared.config.default_deadline);
     let mut timed_out = false;
-    let result = if deadline_at.is_some_and(|deadline| Instant::now() >= deadline) {
+    let result = if deadline.is_some_and(|d| submitted_at.elapsed() >= d) {
         timed_out = true;
         obs::ENGINE_TIMED_OUT.inc();
         Err(ServeError::DeadlineExceeded(
@@ -788,9 +811,6 @@ fn serve_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
 mod tests {
     use super::*;
     use lorentz_types::{CustomerId, ResourceGroupId, ServerOffering, SubscriptionId};
-
-    /// The request id a worker panics on, in test builds only.
-    pub(super) const PANIC_ID: u64 = u64::MAX;
 
     #[test]
     fn a_worker_panic_is_answered_and_the_worker_restarts() {

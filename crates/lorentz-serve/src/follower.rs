@@ -456,21 +456,6 @@ impl FollowerEngine {
         }
     }
 
-    /// The promoted leader's replication listen address, once bound.
-    pub fn promoted_listen_addr(&self) -> Option<std::net::SocketAddr> {
-        let promoted = self
-            .shared
-            .promoted
-            .lock()
-            .expect("promoted leader poisoned");
-        promoted.as_ref().and_then(|leader| {
-            leader
-                .listener
-                .as_ref()
-                .map(ReplicationListener::local_addr)
-        })
-    }
-
     /// A point-in-time copy of the replication ledger.
     pub fn stats(&self) -> FollowerStats {
         *self.shared.stats.lock().expect("follower stats poisoned")

@@ -15,6 +15,9 @@
 //!   worker pool behind a bounded submission queue.
 //!   [`ServingEngine::submit`] applies backpressure: a full queue rejects
 //!   with [`ServeError::Saturated`] instead of buffering unboundedly.
+//!   [`ServingEngine::answer`] serves one request on the calling thread
+//!   instead, under the same admission ledger and panic boundary, with no
+//!   queue in between.
 //! * **Deadlines** — each request may carry a deadline (or inherit the
 //!   engine default); requests that expire while queued are answered with
 //!   [`ServeError::DeadlineExceeded`] rather than served late.
@@ -80,10 +83,11 @@
 //!   protocol is unchanged.
 //! * **TCP front end** — [`serve_net`] serves the engine over persistent
 //!   TCP connections speaking the length-prefixed JSON frame protocol in
-//!   [`wire`]: one acceptor, a reader + writer thread per connection, a
-//!   dispatcher routing responses back to the submitting connection, and
-//!   a drain frame that closes the ledger exactly. Per-connection traffic
-//!   lands in the `engine.net.*` obs metrics and the final [`NetReport`].
+//!   [`wire`]: one acceptor, and one thread per connection that answers
+//!   each request it reads through [`ServingEngine::answer`] and writes
+//!   the replies of a pipelined burst with one `write`. A drain frame
+//!   closes the ledger exactly. Per-connection traffic lands in the
+//!   `engine.net.*` obs metrics and the final [`NetReport`].
 //!
 //! All of it threads through the process-wide `lorentz_core::obs` metrics
 //! (`engine.*` counters, queue-depth gauge, end-to-end latency histogram),

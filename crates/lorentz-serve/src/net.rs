@@ -1,46 +1,50 @@
-//! The TCP front end: persistent connections feeding the bounded-queue
-//! engine.
+//! The TCP front end: one thread per persistent connection, each read
+//! answered on the thread that read it.
 //!
-//! One acceptor owns the listening socket. Each accepted connection gets
-//! a **reader** thread (decodes length-prefixed frames, parses them, and
-//! submits requests/feedback to the [`ServingEngine`]) and a **writer**
-//! thread (drains a per-connection outbox channel onto the socket, so a
-//! slow client never blocks a worker). A single **dispatcher** thread
-//! consumes the engine's response channel and routes each answer back to
-//! the connection that submitted it: the server rewrites every request id
-//! to a process-unique routing id at admission and restores the client's
-//! id on the way out, so ids need not be unique across connections.
+//! One acceptor blocks in `accept`. Each connection's thread owns both
+//! halves of its socket and runs every frame to completion: decode, parse,
+//! answer a request through [`ServingEngine::answer`], and append the
+//! reply frame to an output buffer. Replies leave in request order, and a
+//! pipelined burst leaves in one `write`: the buffer is written before any
+//! read that could block (no whole frame is buffered), before waiting on
+//! the feedback barrier, at 64 KiB, and when the connection ends. A client
+//! that stops reading pushes back through TCP; nothing queues for it.
+//! Feedback goes to the engine's single λ-writer, and its ack is appended
+//! only after the publish lands, so a request behind it on the same
+//! connection serves under the new λ.
 //!
-//! Graceful drain: a `{"op": "drain"}` frame (from any connection) stops
-//! the acceptor, half-closes every connection's read side (unblocking the
-//! readers), drains the engine — every accepted request still gets its
-//! response, flushed to whichever connection submitted it — then closes
-//! write sides. The final [`NetReport`] carries the engine's exact ledger
-//! plus the per-connection accounting, mirrored into the `engine.net.*`
-//! obs metrics.
+//! Graceful drain: a `{"op": "drain"}` frame (from any connection) is
+//! acked, sets the stop flag and connects once to the listener to wake
+//! the acceptor. Every connection's read side is then shut down; each
+//! thread writes what it answered and exits, and the engine drains. The
+//! final [`NetReport`] carries the engine's exact ledger plus the
+//! per-connection accounting, mirrored into the `engine.net.*` metrics.
 //!
 //! Failure semantics per connection:
-//! * clean close / half-open peer → the reader exits, in-flight responses
-//!   for that connection are dropped (counted, never blocking the pool);
-//! * mid-frame disconnect → counted as a disconnect, same cleanup;
-//! * oversized frame → typed `frame_too_large` error frame, then the
-//!   connection closes (the payload was never read, so the stream cannot
-//!   be resynchronized);
+//! * clean close / half-open peer → everything read is answered first;
+//! * mid-frame disconnect, or a write the peer is gone for → a counted
+//!   disconnect; unwritten reply frames count as dropped;
+//! * oversized frame → typed `frame_too_large` error frame, then close
+//!   (the payload was never read, so the stream cannot be resynchronized);
 //! * garbage payload → typed `malformed` error frame, connection stays
-//!   open (the frame boundary is intact).
+//!   open (the frame boundary is intact);
+//! * a handler panic → a `serve` error frame, connection stays open.
 
 use crate::engine::ServingEngine;
-use crate::types::{EngineStats, ServeResponse};
+use crate::types::EngineStats;
 use crate::wire::{self, ClientFrame, WireError};
 use lorentz_core::{obs, TrainedLorentz};
+use lorentz_types::framing::{Decoded, FrameCodec, ABSOLUTE_MAX_PAYLOAD};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+
+/// Reply bytes a connection buffers before writing them even though more
+/// whole frames are waiting to be answered.
+const FLUSH_AT: usize = 64 * 1024;
 
 /// Tuning for the TCP front end.
 #[derive(Debug, Clone, Copy)]
@@ -48,17 +52,13 @@ pub struct NetConfig {
     /// Largest accepted frame payload; larger declared lengths are
     /// rejected with a typed error before buffering.
     pub max_frame_len: usize,
-    /// How often the (non-blocking) acceptor polls for new connections
-    /// and for the stop flag.
-    pub accept_poll: Duration,
 }
 
 impl Default for NetConfig {
-    /// 1 MiB frames, 5 ms accept poll.
+    /// 1 MiB frames.
     fn default() -> Self {
         Self {
             max_frame_len: wire::MAX_FRAME_LEN_DEFAULT,
-            accept_poll: Duration::from_millis(5),
         }
     }
 }
@@ -89,7 +89,7 @@ pub struct NetReport {
     pub frame_errors: u64,
     /// Connections that ended in an I/O error instead of a clean close.
     pub disconnects: u64,
-    /// Responses whose connection was gone when the engine answered.
+    /// Reply frames not written because the peer was gone.
     pub dropped_responses: u64,
 }
 
@@ -106,51 +106,37 @@ struct Counters {
     dropped_responses: AtomicU64,
 }
 
-/// One connection's server-side handle: the outbox the dispatcher and the
-/// reader enqueue frames into, and a stream clone for half-close.
-struct ConnHandle {
-    outbox: Sender<Vec<u8>>,
-    stream: TcpStream,
-}
-
-/// State shared by the acceptor, readers, writers, and dispatcher.
+/// State shared by the acceptor and the connection threads.
 struct Ctx {
     deployment: Arc<TrainedLorentz>,
-    /// Set by a drain frame; the acceptor polls it, readers check it to
-    /// decide whether their connection outlives them (drain keeps write
-    /// sides open for in-flight responses).
+    /// Set by a drain frame; the acceptor checks it after every accept.
     stop: AtomicBool,
-    /// Process-unique routing ids for in-flight requests.
-    next_routing_id: AtomicU64,
-    /// routing id → (connection id, client's correlation id).
-    pending: Mutex<HashMap<u64, (u64, u64)>>,
-    conns: Mutex<HashMap<u64, ConnHandle>>,
+    /// Where the draining thread connects to wake the blocked acceptor.
+    wake_addr: SocketAddr,
+    /// Each open connection's socket, kept for the drain's half-close.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     counters: Counters,
     max_frame_len: usize,
 }
 
 impl Ctx {
-    /// Enqueues a frame on a connection's outbox; a vanished connection
-    /// counts the frame as dropped.
-    fn send_to(&self, conn_id: u64, payload: Vec<u8>) -> bool {
-        let delivered = self
-            .conns
-            .lock()
-            .expect("net conns poisoned")
-            .get(&conn_id)
-            .is_some_and(|conn| conn.outbox.send(payload).is_ok());
-        if !delivered {
-            self.counters
-                .dropped_responses
-                .fetch_add(1, Ordering::Relaxed);
-            obs::NET_DROPPED_RESPONSES.inc();
-        }
-        delivered
+    /// Stops the acceptor: sets the flag, then connects once so the
+    /// blocked `accept` returns and sees it.
+    fn stop_accepting(&self) {
+        self.stop.store(true, Ordering::Release);
+        let _ = TcpStream::connect(self.wake_addr);
     }
 
-    /// Removes a connection: drops its outbox, which lets the writer
-    /// drain any queued frames and then close the socket itself (closing
-    /// here would race the writer and cut off a final error frame).
+    fn count_frame_error(&self) {
+        self.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
+        obs::NET_FRAME_ERRORS.inc();
+    }
+
+    fn count_disconnect(&self) {
+        self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
+        obs::NET_DISCONNECTS.inc();
+    }
+
     fn remove_conn(&self, conn_id: u64) {
         if self
             .conns
@@ -164,6 +150,18 @@ impl Ctx {
     }
 }
 
+/// The address that reaches a listener bound to `local`: an unspecified
+/// bind address (`0.0.0.0`, `::`) is reached over loopback.
+pub(crate) fn wake_addr(mut local: SocketAddr) -> SocketAddr {
+    if local.ip().is_unspecified() {
+        local.set_ip(match local {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    local
+}
+
 /// Runs the TCP front end over an already-bound listener until a client
 /// sends `{"op": "drain"}`, then drains the engine and returns the
 /// combined report. Blocks the calling thread for the server's lifetime.
@@ -174,7 +172,6 @@ impl Ctx {
 pub fn serve_net(
     deployment: Arc<TrainedLorentz>,
     engine: ServingEngine,
-    responses: Receiver<ServeResponse>,
     listener: TcpListener,
     config: NetConfig,
 ) -> std::io::Result<NetReport> {
@@ -182,101 +179,62 @@ pub fn serve_net(
     let ctx = Arc::new(Ctx {
         deployment,
         stop: AtomicBool::new(false),
-        next_routing_id: AtomicU64::new(1),
-        pending: Mutex::new(HashMap::new()),
+        wake_addr: wake_addr(listener.local_addr()?),
         conns: Mutex::new(HashMap::new()),
         counters: Counters::default(),
         max_frame_len: config.max_frame_len,
     });
-    listener.set_nonblocking(true)?;
 
-    let dispatcher = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("lorentz-net-dispatch".to_string())
-            .spawn(move || dispatch_loop(&ctx, &responses))?
-    };
-
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut writers: Vec<JoinHandle<()>> = Vec::new();
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
     let mut next_conn_id = 0u64;
-    while !ctx.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let conn_id = next_conn_id;
-                next_conn_id += 1;
-                ctx.counters.connections.fetch_add(1, Ordering::Relaxed);
-                obs::NET_CONNECTIONS.inc();
-                obs::NET_ACTIVE_CONNECTIONS.add(1);
-                let (outbox_tx, outbox_rx) = channel::<Vec<u8>>();
-                let write_half = stream.try_clone()?;
-                ctx.conns.lock().expect("net conns poisoned").insert(
-                    conn_id,
-                    ConnHandle {
-                        outbox: outbox_tx,
-                        stream: stream.try_clone()?,
-                    },
-                );
-                {
-                    let ctx = Arc::clone(&ctx);
-                    writers.push(
-                        std::thread::Builder::new()
-                            .name(format!("lorentz-net-write-{conn_id}"))
-                            .spawn(move || writer_loop(&ctx, write_half, &outbox_rx))?,
-                    );
-                }
-                {
-                    let ctx = Arc::clone(&ctx);
-                    let engine = Arc::clone(&engine);
-                    readers.push(
-                        std::thread::Builder::new()
-                            .name(format!("lorentz-net-read-{conn_id}"))
-                            .spawn(move || reader_loop(&ctx, &engine, conn_id, stream))?,
-                    );
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.accept_poll);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        };
+        if ctx.stop.load(Ordering::Acquire) {
+            // The drain's wake-up connection (or a client racing the
+            // drain): dropped uncounted.
+            break;
         }
+        let _ = stream.set_nodelay(true);
+        let conn_id = next_conn_id;
+        next_conn_id += 1;
+        ctx.counters.connections.fetch_add(1, Ordering::Relaxed);
+        obs::NET_CONNECTIONS.inc();
+        obs::NET_ACTIVE_CONNECTIONS.add(1);
+        ctx.conns
+            .lock()
+            .expect("net conns poisoned")
+            .insert(conn_id, stream.try_clone()?);
+        let ctx = Arc::clone(&ctx);
+        let engine = Arc::clone(&engine);
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("lorentz-net-conn-{conn_id}"))
+                .spawn(move || conn_loop(&ctx, &engine, conn_id, stream))?,
+        );
     }
 
-    // Drain: unblock every reader by half-closing the read sides; write
-    // sides stay open so in-flight responses still reach their clients.
-    for conn in ctx.conns.lock().expect("net conns poisoned").values() {
-        let _ = conn.stream.shutdown(Shutdown::Read);
+    // Drain: half-close every read side so each connection thread stops
+    // at its next blocking read, having answered and written everything
+    // it read before.
+    for stream in ctx.conns.lock().expect("net conns poisoned").values() {
+        let _ = stream.shutdown(Shutdown::Read);
     }
-    for reader in readers {
-        let _ = reader.join();
+    for thread in threads {
+        let _ = thread.join();
     }
-    // Readers are gone, so no new submissions: drain the engine. Every
-    // accepted request produces its response before the channel closes.
+    // Every connection thread is gone, so no new requests: drain the
+    // engine (the λ-writer finishes every accepted signal).
     let engine = Arc::try_unwrap(engine)
-        .unwrap_or_else(|_| unreachable!("reader threads joined, no engine clones remain"));
+        .unwrap_or_else(|_| unreachable!("connection threads joined, no engine clones remain"));
     let store_version = engine.store_version();
     let lambda_version = engine.lambda_version();
     let leader_term = engine.leader_term();
     let fenced_by = engine.fenced_by();
     let stats = engine.drain();
-    // The response channel is closed; the dispatcher finishes routing
-    // whatever was answered, then exits.
-    let _ = dispatcher.join();
-    let conn_ids: Vec<u64> = ctx
-        .conns
-        .lock()
-        .expect("net conns poisoned")
-        .keys()
-        .copied()
-        .collect();
-    for conn_id in conn_ids {
-        ctx.remove_conn(conn_id);
-    }
-    for writer in writers {
-        let _ = writer.join();
-    }
     Ok(NetReport {
         engine: stats,
         store_version,
@@ -292,69 +250,72 @@ pub fn serve_net(
     })
 }
 
-/// Routes engine responses back to the connections that submitted them.
-/// Exits when the response channel closes (after the engine drains).
-fn dispatch_loop(ctx: &Ctx, responses: &Receiver<ServeResponse>) {
-    for response in responses {
-        let route = ctx
-            .pending
-            .lock()
-            .expect("net pending poisoned")
-            .remove(&response.id);
-        let Some((conn_id, client_id)) = route else {
-            // A response with no pending entry (rejected at submit after
-            // the entry was removed) — nothing to route.
-            continue;
-        };
-        ctx.send_to(conn_id, wire::encode_response(client_id, &response));
-    }
+/// One connection's reply frames that are not written yet.
+#[derive(Default)]
+struct Replies {
+    buf: Vec<u8>,
+    frames: u64,
 }
 
-/// Per-connection writer: drains the outbox onto the socket. Exits when
-/// the outbox closes (connection removed) or a write fails.
-fn writer_loop(ctx: &Ctx, mut stream: TcpStream, outbox: &Receiver<Vec<u8>>) {
-    for payload in outbox {
-        if wire::write_frame(&mut stream, &payload).is_err() {
-            ctx.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-            obs::NET_DISCONNECTS.inc();
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
+impl Replies {
+    fn push(&mut self, payload: &[u8]) {
+        FrameCodec::wire(ABSOLUTE_MAX_PAYLOAD).encode_into(payload, &mut self.buf);
+        self.frames += 1;
+    }
+
+    /// Writes every buffered frame with one `write_all`. A failed write
+    /// means the peer is gone: its frames count as dropped and the
+    /// connection as a disconnect. Returns whether the write went out.
+    fn flush(&mut self, ctx: &Ctx, mut stream: &TcpStream) -> bool {
+        if self.frames == 0 {
+            return true;
         }
-        ctx.counters.frames_out.fetch_add(1, Ordering::Relaxed);
-        obs::NET_FRAMES_OUT.inc();
+        let written = stream.write_all(&self.buf).is_ok();
+        let frames = std::mem::take(&mut self.frames);
+        self.buf.clear();
+        if written {
+            ctx.counters.frames_out.fetch_add(frames, Ordering::Relaxed);
+            obs::NET_FRAMES_OUT.add(frames);
+        } else {
+            ctx.counters
+                .dropped_responses
+                .fetch_add(frames, Ordering::Relaxed);
+            obs::NET_DROPPED_RESPONSES.add(frames);
+            ctx.count_disconnect();
+        }
+        written
     }
-    // The outbox closed (connection removed): everything queued has been
-    // written, so the write side can finally close.
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Per-connection reader: decode → parse → submit, answering control
-/// frames inline. See the module docs for the per-error semantics.
-fn reader_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStream) {
+/// Per-connection body: read → parse → answer → buffer the reply (see the
+/// module docs for when the buffer is written and the error semantics).
+fn conn_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStream) {
+    let codec = FrameCodec::wire(ctx.max_frame_len);
     let mut reader = BufReader::new(stream);
+    let mut replies = Replies::default();
     loop {
+        let frame_buffered = matches!(codec.decode(reader.buffer(), 0), Ok(Decoded::Frame { .. }));
+        if (!frame_buffered || replies.buf.len() >= FLUSH_AT)
+            && !replies.flush(ctx, reader.get_ref())
+        {
+            break;
+        }
         let payload = match wire::read_frame(&mut reader, ctx.max_frame_len) {
             Ok(payload) => payload,
             Err(WireError::Closed) => break,
             Err(err @ WireError::TooLarge { .. }) => {
                 // The oversized payload was never read; the stream cannot
                 // be resynchronized, so answer and close.
-                ctx.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                obs::NET_FRAME_ERRORS.inc();
-                ctx.send_to(
-                    conn_id,
-                    wire::encode_error(None, err.kind(), &err.to_string()),
-                );
+                ctx.count_frame_error();
+                replies.push(&wire::encode_error(None, err.kind(), &err.to_string()));
                 break;
             }
-            Err(err) => {
+            Err(_) => {
                 // Truncated frame or socket error: the peer is gone (or
                 // the drain half-closed us mid-read).
                 if !ctx.stop.load(Ordering::Acquire) {
-                    ctx.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-                    obs::NET_DISCONNECTS.inc();
+                    ctx.count_disconnect();
                 }
-                let _ = err;
                 break;
             }
         };
@@ -363,59 +324,82 @@ fn reader_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStrea
         match wire::parse_client_frame(&payload, ctx.deployment.profiles().schema()) {
             Err(err) => {
                 // Frame boundary intact: report and keep serving.
-                ctx.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                obs::NET_FRAME_ERRORS.inc();
-                ctx.send_to(
-                    conn_id,
-                    wire::encode_error(None, err.kind(), &err.to_string()),
-                );
+                ctx.count_frame_error();
+                replies.push(&wire::encode_error(None, err.kind(), &err.to_string()));
             }
-            Ok(ClientFrame::Request(mut request)) => {
-                let client_id = request.id;
-                let routing_id = ctx.next_routing_id.fetch_add(1, Ordering::Relaxed);
-                request.id = routing_id;
-                ctx.pending
-                    .lock()
-                    .expect("net pending poisoned")
-                    .insert(routing_id, (conn_id, client_id));
-                if let Err(err) = engine.submit(request) {
-                    ctx.pending
-                        .lock()
-                        .expect("net pending poisoned")
-                        .remove(&routing_id);
-                    ctx.send_to(
-                        conn_id,
-                        wire::encode_error(Some(client_id), "rejected", &err.to_string()),
-                    );
-                }
+            Ok(ClientFrame::Request(request)) => {
+                let id = request.id;
+                replies.push(&match engine.answer(request) {
+                    Ok(response) => wire::encode_response(id, &response),
+                    Err(err) => wire::encode_error(Some(id), "rejected", &err.to_string()),
+                });
             }
             Ok(ClientFrame::Feedback(signal)) => match engine.submit_feedback(signal) {
                 Ok(()) => {
                     // Read-your-writes for this connection: the ack only
                     // leaves after the λ publish lands.
+                    if !replies.flush(ctx, reader.get_ref()) {
+                        break;
+                    }
                     engine.flush_feedback();
-                    ctx.send_to(conn_id, wire::encode_ack("ack", "feedback"));
+                    replies.push(&wire::encode_ack("ack", "feedback"));
                 }
                 Err(err) => {
-                    ctx.send_to(
-                        conn_id,
-                        wire::encode_error(None, "rejected", &err.to_string()),
-                    );
+                    replies.push(&wire::encode_error(None, "rejected", &err.to_string()));
                 }
             },
-            Ok(ClientFrame::Ping) => {
-                ctx.send_to(conn_id, wire::encode_ack("pong", true));
-            }
+            Ok(ClientFrame::Ping) => replies.push(&wire::encode_ack("pong", true)),
             Ok(ClientFrame::Drain) => {
-                ctx.send_to(conn_id, wire::encode_ack("ack", "drain"));
-                ctx.stop.store(true, Ordering::Release);
+                replies.push(&wire::encode_ack("ack", "drain"));
+                ctx.stop_accepting();
                 break;
             }
         }
     }
-    // On drain the connection outlives its reader: pending responses are
-    // flushed by the dispatcher before `serve_net` closes write sides.
-    if !ctx.stop.load(Ordering::Acquire) {
-        ctx.remove_conn(conn_id);
+    replies.flush(ctx, reader.get_ref());
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
+    ctx.remove_conn(conn_id);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::PANIC_ID;
+    use crate::ServeConfig;
+    use serde::Value;
+
+    fn exchange(stream: &mut TcpStream, frame: &str) -> Value {
+        wire::write_frame(stream, frame.as_bytes()).unwrap();
+        let payload = wire::read_frame(stream, 1 << 20).unwrap();
+        serde_json::parse(&String::from_utf8(payload).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_and_the_connection_keeps_serving() {
+        let deployment = crate::test_deployment();
+        let (engine, _responses) =
+            ServingEngine::start(Arc::clone(&deployment), ServeConfig::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            serve_net(deployment, engine, listener, NetConfig::default()).unwrap()
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let panicked = format!("{{\"id\": {PANIC_ID}, \"profile\": {{}}}}");
+        let panicked = exchange(&mut stream, &panicked);
+        assert_eq!(
+            panicked.get_field("error").and_then(Value::as_str),
+            Some("request handler panicked: injected worker panic")
+        );
+        let next = exchange(&mut stream, "{\"id\": 2, \"profile\": {}}");
+        assert!(next.get_field("ok").is_some(), "{next:?}");
+        let ack = exchange(&mut stream, "{\"op\": \"drain\"}");
+        assert_eq!(ack.get_field("ack").and_then(Value::as_str), Some("drain"));
+        let report = server.join().unwrap();
+        let stats = report.engine;
+        assert_eq!(stats.panicked, 1);
+        assert_eq!((stats.submitted, stats.accepted, stats.answered), (2, 2, 2));
+        assert_eq!(report.frames_out, 3);
+        assert_eq!(report.disconnects, 0);
     }
 }

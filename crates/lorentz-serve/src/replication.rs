@@ -37,6 +37,7 @@
 //! resumes from its last good epoch.
 
 use crate::engine::ServingEngine;
+use crate::net::wake_addr;
 use crate::wire::{self, WireError};
 use lorentz_core::obs;
 use lorentz_core::personalizer::{PollBackoff, SignalWal, WalEntry};
@@ -68,9 +69,6 @@ pub enum ReplicationError {
 /// Tuning for the leader's replication listener.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicationConfig {
-    /// How often the (non-blocking) acceptor polls for new followers and
-    /// for shutdown.
-    pub accept_poll: Duration,
     /// How long a connected follower may take to send its subscribe frame
     /// before the connection is dropped.
     pub handshake_timeout: Duration,
@@ -83,10 +81,9 @@ pub struct ReplicationConfig {
 }
 
 impl Default for ReplicationConfig {
-    /// 5 ms accept poll, 5 s handshake timeout, 1024-record outboxes.
+    /// 5 s handshake timeout, 1024-record outboxes.
     fn default() -> Self {
         Self {
-            accept_poll: Duration::from_millis(5),
             handshake_timeout: Duration::from_secs(5),
             outbox_capacity: 1024,
             max_handshake_frame: wire::MAX_FRAME_LEN_DEFAULT,
@@ -255,6 +252,9 @@ impl ReplicationListener {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.acceptor.take() {
+            // The acceptor blocks in `accept`: one connection wakes it to
+            // see the flag.
+            let _ = TcpStream::connect(wake_addr(self.local_addr));
             let _ = handle.join();
         }
     }
@@ -289,7 +289,6 @@ pub fn serve_replication(
         ));
     };
     let hub = engine.replication_hub();
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let acceptor = {
@@ -305,9 +304,10 @@ pub fn serve_replication(
     })
 }
 
-/// The acceptor body: poll for connections until stopped, spawning one
+/// The acceptor body: accept connections until stopped, spawning one
 /// handler (outbox) thread per follower; joins every handler on the way
-/// out so shutdown leaves no thread behind.
+/// out so shutdown leaves no thread behind. The connection that wakes it
+/// for a shutdown is dropped unserved.
 fn accept_loop(
     hub: &Arc<ReplicationHub>,
     wal_path: PathBuf,
@@ -316,8 +316,9 @@ fn accept_loop(
     stop: &Arc<AtomicBool>,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
+    loop {
         match listener.accept() {
+            Ok(_) if stop.load(Ordering::Acquire) => break,
             Ok((stream, _peer)) => {
                 let hub = Arc::clone(hub);
                 let wal_path = wal_path.clone();
@@ -332,9 +333,6 @@ fn accept_loop(
                         // follower retries.
                     }
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.accept_poll);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,

@@ -12,8 +12,8 @@
 //! * a **request**: `{"id": 7, "profile": {"industry": "banking"},
 //!   "offering": "general_purpose", "customer": 3, "subscription": 1,
 //!   "resource_group": 9, "deadline_ms": 50}` — every field optional
-//!   (`id` defaults to 0 and is echoed back verbatim; the server routes
-//!   responses internally, so ids need not be unique across connections);
+//!   (`id` defaults to 0 and is echoed back verbatim; each connection's
+//!   replies come back in its request order, so ids need not be unique);
 //! * a **feedback signal**: any object with a `gamma` field (`gamma` ∈
 //!   [-1, 1] plus the path ids and optional `offering`), acknowledged
 //!   with `{"ack": "feedback"}` after the λ publish lands;
@@ -229,8 +229,8 @@ pub fn parse_client_frame(
 /// encoding one does not regrow its buffer.
 const RESPONSE_CAPACITY: usize = 512;
 
-/// Encodes a served response, echoing the client's correlation id (the
-/// engine's internal routing id never appears on the wire). The frame is
+/// Encodes a served response, echoing the client's correlation id. The
+/// frame is
 /// written straight from the typed recommendation: `{"id":…,"ok":…,
 /// "degraded":…,"latency_ns":…}`, or `"error"` and `"kind"` in place of
 /// `"ok"`.

@@ -29,13 +29,9 @@ fn start_server_capped(
     let deployment = deployment();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (engine, responses) = ServingEngine::start(Arc::clone(&deployment), config).unwrap();
-    let net_config = NetConfig {
-        max_frame_len,
-        ..NetConfig::default()
-    };
+    let (engine, _) = ServingEngine::start(Arc::clone(&deployment), config).unwrap();
     let handle = std::thread::spawn(move || {
-        serve_net(deployment, engine, responses, listener, net_config).unwrap()
+        serve_net(deployment, engine, listener, NetConfig { max_frame_len }).unwrap()
     });
     (addr, handle)
 }
@@ -98,8 +94,8 @@ fn multi_connection_responses_route_back_without_crosstalk() {
         }
     }
     for stream in &mut conns {
-        // Responses may arrive in any order (workers race) but each id
-        // arrives exactly once per connection, each with a result.
+        // Each id arrives exactly once per connection, each with a
+        // result.
         let mut seen = vec![false; PER_CONN as usize];
         for _ in 0..PER_CONN {
             let response = recv_json(stream);
@@ -259,9 +255,10 @@ fn garbage_frames_get_a_typed_error_and_the_connection_survives() {
 }
 
 #[test]
-fn drain_ledger_stays_exact_under_admission_rejections() {
-    // A one-deep queue behind one worker: a pipelined burst must produce
-    // rejections, and the ledger still has to close exactly.
+fn a_pipelined_burst_is_answered_in_order_without_rejections() {
+    // A one-deep queue behind one worker: the pool's admission limits do
+    // not apply to TCP reads, which are answered on the connection's own
+    // thread, so a pipelined burst is answered whole and in order.
     let (addr, server) = start_server(ServeConfig {
         workers: 1,
         queue_capacity: 1,
@@ -273,27 +270,64 @@ fn drain_ledger_stays_exact_under_admission_rejections() {
     for id in 0..BURST {
         send_json(&mut stream, &request_json(id, id));
     }
-    // Every frame is answered: an ok for accepted requests, a typed
-    // rejection error for the ones the saturated queue refused.
-    let (mut ok, mut rejected) = (0u64, 0u64);
-    for _ in 0..BURST {
+    for id in 0..BURST {
         let response = recv_json(&mut stream);
-        if response.get_field("ok").is_some() {
-            ok += 1;
-        } else {
-            assert_eq!(
-                response.get_field("kind").and_then(|v| v.as_str()),
-                Some("rejected")
-            );
-            rejected += 1;
-        }
+        assert_eq!(field_u64(&response, "id"), Some(id));
+        assert!(
+            response.get_field("ok").is_some(),
+            "request {id} failed: {response:?}"
+        );
     }
-    assert_eq!(ok + rejected, BURST);
     let report = drain(addr, server);
     assert_ledger_exact(&report);
     assert_eq!(report.engine.submitted, BURST);
-    assert_eq!(report.engine.accepted, ok);
-    assert_eq!(report.engine.rejected, rejected);
+    assert_eq!(report.engine.accepted, BURST);
+    assert_eq!(report.engine.rejected, 0);
     assert_eq!(report.frames_out, BURST + 1);
     assert_eq!(report.dropped_responses, 0);
+}
+
+#[test]
+fn a_read_behind_feedback_in_one_write_serves_the_published_lambda() {
+    let (addr, server) = start_server(ServeConfig::default());
+    let mut stream = connect(addr);
+    // Request, feedback and request leave in a single write, so all three
+    // frames can sit in the server's read buffer at once.
+    let mut burst = Vec::new();
+    let codec = lorentz_types::framing::FrameCodec::wire(1 << 20);
+    for frame in [
+        request_json(1, 5),
+        "{\"gamma\": 1.0, \"customer\": 5}".to_owned(),
+        request_json(2, 5),
+    ] {
+        codec.encode_into(frame.as_bytes(), &mut burst);
+    }
+    stream.write_all(&burst).unwrap();
+    let lambda = |response: &serde::Value| {
+        response
+            .get_field("ok")
+            .and_then(|ok| ok.get_field("lambda"))
+            .and_then(|v| f64::from_value(v).ok())
+            .unwrap_or_else(|| panic!("no lambda in {response:?}"))
+    };
+    let before = recv_json(&mut stream);
+    assert_eq!(field_u64(&before, "id"), Some(1));
+    let ack = recv_json(&mut stream);
+    assert_eq!(
+        ack.get_field("ack").and_then(|v| v.as_str()),
+        Some("feedback")
+    );
+    let after = recv_json(&mut stream);
+    assert_eq!(field_u64(&after, "id"), Some(2));
+    // Read-your-writes on one connection: the request behind the ack
+    // serves under the λ the signal published.
+    assert!(
+        lambda(&after) > lambda(&before),
+        "{before:?} then {after:?}"
+    );
+    let report = drain(addr, server);
+    assert_ledger_exact(&report);
+    assert_eq!(report.engine.feedback_applied, 1);
+    assert_eq!(report.lambda_version, 2);
+    assert_eq!(report.frames_out, 4);
 }

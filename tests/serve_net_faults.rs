@@ -20,17 +20,10 @@ fn start_server() -> (SocketAddr, JoinHandle<NetReport>) {
     let deployment = deployment();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (engine, responses) =
+    let (engine, _) =
         ServingEngine::start(Arc::clone(&deployment), ServeConfig::default()).unwrap();
     let handle = std::thread::spawn(move || {
-        serve_net(
-            deployment,
-            engine,
-            responses,
-            listener,
-            NetConfig::default(),
-        )
-        .unwrap()
+        serve_net(deployment, engine, listener, NetConfig::default()).unwrap()
     });
     (addr, handle)
 }
