@@ -49,8 +49,8 @@ pub use explain::{Explanation, Recommendation};
 pub use fleet::FleetDataset;
 pub use personalizer::{
     LambdaEpoch, LambdaSnapshot, LambdaStore, Personalizer, PersonalizerConfig, PollBackoff,
-    SatisfactionSignal, ShardedLambdaStore, SignalWal, TermRecord, WalEntry, WalRecord,
-    WalRecovery, WalReplay, WalVerifyReport,
+    SatisfactionSignal, ShardedLambdaStore, SignalWal, WalEntry, WalRecord, WalRecovery, WalReplay,
+    WalVerifyReport,
 };
 pub use pipeline::{
     LiveModel, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest, StoreOnly,

@@ -16,8 +16,8 @@ pub use lambda::{LambdaEpoch, LambdaSnapshot, LambdaStore};
 pub use sharded::ShardedLambdaStore;
 pub use signals::{classify_ticket, CriTicket, KeywordClassifier};
 pub use wal::{
-    frame_record, wal_codec, PollBackoff, SignalWal, TermRecord, WalEntry, WalRecord, WalRecovery,
-    WalReplay, WalVerifyReport,
+    frame_record, wal_codec, PollBackoff, SignalWal, WalEntry, WalRecord, WalRecovery, WalReplay,
+    WalVerifyReport,
 };
 
 use crate::obs;

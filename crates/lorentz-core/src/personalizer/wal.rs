@@ -16,10 +16,24 @@
 //! [4 magic "LSIG"] [4 payload len u32 LE] [4 payload CRC32C u32 LE] [payload]
 //! ```
 //!
-//! The payload is JSON: a [`WalRecord`] `{signal, delta}` object, or a
-//! [`TermRecord`] `{leader_term}` marker appended whenever a process mints
-//! a new leader term (a log with no markers recovers as term 0). Any other
-//! payload is [`StoreCorruption::BadPayload`].
+//! The payload is a fixed binary layout, little-endian throughout, led by
+//! a tag byte:
+//!
+//! ```text
+//! record: [1 tag = 1] [4 customer] [4 subscription] [4 resource group]
+//!         [1 offering code] [8 γ f64 bits] [LambdaDelta::pack() bytes]
+//! term:   [1 tag = 2] [8 leader term u64]
+//! ```
+//!
+//! A record is a [`WalRecord`]; a term marker is appended whenever a
+//! process mints a new leader term (a log with no markers recovers as term
+//! 0). A payload that is not exactly one of the two — unknown tag, wrong
+//! length, trailing bytes, an offering code out of range, a non-finite γ or
+//! λ, a delta key with reserved bits set — is
+//! [`StoreCorruption::BadPayload`]. Logs written before records went binary
+//! held JSON payloads; a log whose first intact frame holds one is refused
+//! whole with [`StoreError::JsonEraWal`] and left byte-identical, instead
+//! of being truncated as a torn tail.
 //! Appends are `write_all` + `fsync` under [`retry_with_backoff`], so
 //! transient I/O failures retry and permanent ones surface. A failed
 //! attempt first cuts the file back to its length before the attempt, so
@@ -42,8 +56,10 @@ use crate::retry::{is_transient_io, retry_with_backoff, RetryPolicy};
 use crate::store::StoreError;
 use lorentz_fault::{default_io, SnapshotIo};
 use lorentz_types::framing::{Decoded, FrameCodec, FrameError};
-use lorentz_types::{LambdaDelta, StoreCorruption};
-use serde::{Deserialize, Serialize};
+use lorentz_types::{
+    CustomerId, LambdaDelta, ResourceGroupId, ResourcePath, ServerOffering, StoreCorruption,
+    SubscriptionId,
+};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -58,6 +74,15 @@ const HEADER_LEN: usize = 12;
 /// the cap is generous; a larger declared length still means the header
 /// itself is corrupt.
 const MAX_PAYLOAD: u32 = 1 << 24;
+/// Payload tag of a delta-framed [`WalRecord`].
+const TAG_RECORD: u8 = 1;
+/// Payload tag of a leader-term marker.
+const TAG_TERM: u8 = 2;
+/// Bytes of a record payload before its packed delta: the tag, three path
+/// ids, the offering code and γ.
+const SIGNAL_LEN: usize = 1 + 3 * 4 + 1 + 8;
+/// Bytes of a term-marker payload: the tag and the term.
+const TERM_LEN: usize = 1 + 8;
 
 /// The WAL's frame codec: `[4 magic "LSIG"][4 len u32 LE][4 CRC32C u32 LE]`
 /// then the payload. Public because the replication stream carries these
@@ -71,7 +96,7 @@ pub fn wal_codec() -> FrameCodec {
 /// [`LambdaDelta`] applying it produced on the leader. The leader's replay
 /// path only needs `signal`; a follower only needs `delta`; `wal-verify`
 /// prints both.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
     /// The satisfaction signal as accepted.
     pub signal: SatisfactionSignal,
@@ -80,25 +105,19 @@ pub struct WalRecord {
     pub delta: LambdaDelta,
 }
 
-/// A leader-term marker: appended once whenever a process mints a new
-/// leader term (fresh-log startup, every promotion). Terms never regress
-/// within one log, so the highest marker reconstructs the lineage's
-/// current term on recovery; because the replication stream carries the
-/// log's frames verbatim, the marker also tells every follower which
-/// term produced the records after it — without per-frame headers that
-/// would break the replica's byte-identical-log property.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TermRecord {
-    /// The minted leader term.
-    pub leader_term: u64,
-}
-
 /// One intact record read back from a log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
     /// A delta-framed [`WalRecord`].
     Record(WalRecord),
-    /// A leader-term marker ([`TermRecord`]).
+    /// A leader-term marker: appended once whenever a process mints a new
+    /// leader term (fresh-log startup, every promotion). Terms never
+    /// regress within one log, so the highest marker reconstructs the
+    /// lineage's current term on recovery; because the replication stream
+    /// carries the log's frames verbatim, the marker also tells every
+    /// follower which term produced the records after it — without
+    /// per-frame headers that would break the replica's byte-identical-log
+    /// property.
     Term(u64),
 }
 
@@ -137,7 +156,7 @@ pub struct WalRecovery {
     /// none). After replaying, fast-forward the λ store to at least this
     /// epoch so new appends continue the on-disk numbering.
     pub last_epoch: u64,
-    /// The highest leader term among intact [`TermRecord`] markers (0 for
+    /// The highest leader term among intact term markers (0 for
     /// a log with no markers). A restarting leader resumes this term; a
     /// promotion mints a strictly higher one.
     pub last_term: u64,
@@ -172,7 +191,8 @@ impl SignalWal {
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] when the file cannot be opened, read, or
-    /// truncated.
+    /// truncated, and [`StoreError::JsonEraWal`] — leaving the file as it
+    /// is — when it holds JSON-era records.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, WalRecovery), StoreError> {
         Self::open_with(path, default_io())
     }
@@ -180,8 +200,7 @@ impl SignalWal {
     /// [`SignalWal::open`] with every append going through `io`.
     ///
     /// # Errors
-    /// Returns [`StoreError::Io`] when the file cannot be opened, read, or
-    /// truncated.
+    /// As [`SignalWal::open`].
     pub fn open_with(
         path: impl AsRef<Path>,
         io: Box<dyn SnapshotIo>,
@@ -201,6 +220,7 @@ impl SignalWal {
         let len = file.metadata().map_err(&io_err)?.len();
         let mut bytes = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
         file.read_to_end(&mut bytes).map_err(&io_err)?;
+        refuse_json_era(&path, &bytes)?;
         // Walk the intact prefix, keeping only what recovery needs: each
         // delta is dropped as soon as its epoch is read. Any violation
         // ends the walk there; everything after it is the torn tail.
@@ -245,13 +265,15 @@ impl SignalWal {
     /// never truncates: a torn or corrupt tail is described, not repaired.
     ///
     /// # Errors
-    /// Returns [`StoreError::Io`] when the file cannot be read.
+    /// Returns [`StoreError::Io`] when the file cannot be read and
+    /// [`StoreError::JsonEraWal`] when it holds JSON-era records.
     pub fn verify(path: impl AsRef<Path>) -> Result<WalVerifyReport, StoreError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path).map_err(|source| StoreError::Io {
             path: path.display().to_string(),
             source,
         })?;
+        refuse_json_era(path, &bytes)?;
         let mut records = Vec::new();
         let mut offset = 0usize;
         let mut corrupt = None;
@@ -299,9 +321,7 @@ impl SignalWal {
     /// Returns [`StoreError::Serialize`] when the record cannot be
     /// encoded and [`StoreError::Io`] when the write fails permanently.
     pub fn append_record(&mut self, record: &WalRecord) -> Result<(), StoreError> {
-        let payload =
-            serde_json::to_string(record).map_err(|e| StoreError::Serialize(format!("{e}")))?;
-        self.append_payload(payload.as_bytes())
+        self.append_frame(&frame_record(record)?)
     }
 
     /// Appends one leader-term marker durably. Term markers are control
@@ -310,18 +330,12 @@ impl SignalWal {
     /// in `personalizer.wal.appends`, which meters accepted signals.
     ///
     /// # Errors
-    /// Returns [`StoreError::Serialize`] when the record cannot be
-    /// encoded and [`StoreError::Io`] when the write fails permanently.
+    /// Returns [`StoreError::Io`] when the write fails permanently.
     pub fn append_term(&mut self, term: u64) -> Result<(), StoreError> {
-        let payload = serde_json::to_string(&TermRecord { leader_term: term })
-            .map_err(|e| StoreError::Serialize(format!("{e}")))?;
-        let frame = frame_payload(payload.as_bytes());
-        self.write_frame(&frame)
-    }
-
-    fn append_payload(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let frame = frame_payload(payload);
-        self.append_frame(&frame)
+        let mut payload = Vec::with_capacity(TERM_LEN);
+        payload.push(TAG_TERM);
+        payload.extend_from_slice(&term.to_le_bytes());
+        self.write_frame(&wal_codec().encode(&payload))
     }
 
     /// Appends pre-framed record bytes (from [`frame_record`], or received
@@ -409,7 +423,8 @@ impl SignalWal {
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] when the file exists but cannot be read
-    /// (a missing file is an empty log, not an error).
+    /// (a missing file is an empty log, not an error), and
+    /// [`StoreError::JsonEraWal`] when it holds JSON-era records.
     pub fn replay_from(path: impl AsRef<Path>, last_epoch: u64) -> Result<WalReplay, StoreError> {
         let path = path.as_ref();
         let bytes = match std::fs::read(path) {
@@ -422,6 +437,7 @@ impl SignalWal {
                 });
             }
         };
+        refuse_json_era(path, &bytes)?;
         let mut frames: Vec<(Option<u64>, usize, usize)> = Vec::new();
         let mut offset = 0usize;
         while let Some(Ok((entry, end))) = next_frame(&bytes, offset) {
@@ -570,39 +586,129 @@ pub struct WalRecordSummary {
     pub signal: Option<SatisfactionSignal>,
 }
 
-/// Builds the framed bytes for one record payload via the shared
-/// [`wal_codec`].
-fn frame_payload(payload: &[u8]) -> Vec<u8> {
-    wal_codec().encode(payload)
-}
-
 /// Frames one delta record exactly as [`SignalWal::append_record`] writes
 /// it — the leader's replication fanout broadcasts these bytes so the
 /// stream a follower receives is byte-identical to the leader's disk.
 ///
 /// # Errors
-/// Returns [`StoreError::Serialize`] when the record cannot be encoded.
+/// Returns [`StoreError::Serialize`] for a record the decoder would refuse:
+/// a non-finite γ or λ, or a payload past the record cap.
 pub fn frame_record(record: &WalRecord) -> Result<Vec<u8>, StoreError> {
-    let payload =
-        serde_json::to_string(record).map_err(|e| StoreError::Serialize(format!("{e}")))?;
-    Ok(frame_payload(payload.as_bytes()))
+    let WalRecord { signal, delta } = record;
+    if !signal.gamma.is_finite()
+        || delta
+            .entries
+            .iter()
+            .flat_map(|(_, l)| l)
+            .any(|l| !l.is_finite())
+    {
+        return Err(StoreError::Serialize(format!(
+            "WAL record at epoch {} carries a non-finite γ or λ",
+            delta.epoch
+        )));
+    }
+    let packed = delta.pack();
+    let len = SIGNAL_LEN + packed.len();
+    if len > MAX_PAYLOAD as usize {
+        return Err(StoreError::Serialize(format!(
+            "WAL record of {len} bytes exceeds the {MAX_PAYLOAD}-byte record cap"
+        )));
+    }
+    let mut payload = Vec::with_capacity(len);
+    payload.push(TAG_RECORD);
+    for id in [
+        signal.path.customer.0,
+        signal.path.subscription.0,
+        signal.path.resource_group.0,
+    ] {
+        payload.extend_from_slice(&id.to_le_bytes());
+    }
+    payload.push(signal.offering.code());
+    payload.extend_from_slice(&signal.gamma.to_bits().to_le_bytes());
+    payload.extend_from_slice(&packed);
+    Ok(wal_codec().encode(&payload))
 }
 
-/// Decodes an intact frame payload into a [`WalEntry`].
+/// Decodes an intact frame payload into a [`WalEntry`], refusing anything
+/// [`frame_record`] or [`SignalWal::append_term`] would not have written.
 fn parse_entry(payload: &[u8]) -> Result<WalEntry, StoreCorruption> {
-    let Ok(text) = std::str::from_utf8(payload) else {
-        return Err(StoreCorruption::BadPayload(
-            "payload is not UTF-8".to_owned(),
-        ));
+    match payload.first() {
+        Some(&TAG_RECORD) => parse_record(payload).map(WalEntry::Record),
+        Some(&TAG_TERM) => {
+            let term: [u8; 8] = payload[1..].try_into().map_err(|_| {
+                StoreCorruption::BadPayload(format!(
+                    "term marker is {} bytes, expected {TERM_LEN}",
+                    payload.len()
+                ))
+            })?;
+            Ok(WalEntry::Term(u64::from_le_bytes(term)))
+        }
+        Some(tag) => Err(StoreCorruption::BadPayload(format!(
+            "unknown record tag {tag:#04x}"
+        ))),
+        None => Err(StoreCorruption::BadPayload("empty payload".to_owned())),
+    }
+}
+
+/// Decodes a [`TAG_RECORD`] payload: the fixed signal head, then exactly
+/// one packed delta.
+fn parse_record(payload: &[u8]) -> Result<WalRecord, StoreCorruption> {
+    let Some(head) = payload.get(..SIGNAL_LEN) else {
+        return Err(StoreCorruption::BadPayload(format!(
+            "record is {} bytes, shorter than its {SIGNAL_LEN}-byte signal",
+            payload.len()
+        )));
     };
-    // Delta-framed first (nearly every record), then term markers — the
-    // two JSON shapes share no fields, so the match is unambiguous.
-    match serde_json::from_str::<WalRecord>(text) {
-        Ok(record) => Ok(WalEntry::Record(record)),
-        Err(e) => match serde_json::from_str::<TermRecord>(text) {
-            Ok(term) => Ok(WalEntry::Term(term.leader_term)),
-            Err(_) => Err(StoreCorruption::BadPayload(format!("{e}"))),
+    let id = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+    let path = ResourcePath::new(
+        CustomerId(id(1)),
+        SubscriptionId(id(5)),
+        ResourceGroupId(id(9)),
+    );
+    let offering = ServerOffering::from_code(head[13]).ok_or_else(|| {
+        StoreCorruption::BadPayload(format!("offering code {} is out of range", head[13]))
+    })?;
+    let gamma = f64::from_bits(u64::from_le_bytes(
+        head[14..22].try_into().expect("8 bytes"),
+    ));
+    if !gamma.is_finite() {
+        return Err(StoreCorruption::BadPayload(format!(
+            "γ {gamma} is not finite"
+        )));
+    }
+    let delta = LambdaDelta::unpack(&payload[SIGNAL_LEN..])
+        .map_err(|e| StoreCorruption::BadPayload(format!("delta: {e}")))?;
+    if let Some((key, _)) = delta
+        .entries
+        .iter()
+        .find(|(_, lambdas)| lambdas.iter().any(|l| !l.is_finite()))
+    {
+        return Err(StoreCorruption::BadPayload(format!(
+            "delta: λ of {key} is not finite"
+        )));
+    }
+    Ok(WalRecord {
+        signal: SatisfactionSignal {
+            path,
+            offering,
+            gamma,
         },
+        delta,
+    })
+}
+
+/// Refuses a log written before records went binary: one whose first
+/// intact frame holds a JSON object. Walking it would read every frame as
+/// corrupt, and [`SignalWal::open`] would truncate the whole log as a torn
+/// tail.
+fn refuse_json_era(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    match wal_codec().decode(bytes, 0) {
+        Ok(Decoded::Frame { payload, .. }) if payload.first() == Some(&b'{') => {
+            Err(StoreError::JsonEraWal {
+                path: path.display().to_string(),
+            })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -837,8 +943,8 @@ mod tests {
 
     /// Frames whose payload the log cannot read end every walk with
     /// `BadPayload` at their offset: a header declaring more than the
-    /// record cap, and a bare signal with a valid CRC — a payload that is
-    /// neither a delta record nor a term marker.
+    /// record cap, and a record cut after its signal with a valid CRC — a
+    /// payload that is neither a delta record nor a term marker.
     #[test]
     fn oversized_declared_length_is_rejected() {
         let (path, wal) = fresh_wal("oversized");
@@ -848,7 +954,8 @@ mod tests {
         oversized.extend_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
         oversized.extend_from_slice(&0u32.to_le_bytes());
         oversized.extend_from_slice(b"xxxx");
-        let bare_signal = frame_payload(serde_json::to_string(&signal(2, 1.0)).unwrap().as_bytes());
+        let whole = frame_record(&record(2, 1.0, 3)).unwrap();
+        let bare_signal = wal_codec().encode(&whole[HEADER_LEN..HEADER_LEN + SIGNAL_LEN]);
         let good = frame_record(&record(1, 1.0, 2)).unwrap();
         for (prefix, bad) in [(Vec::new(), oversized), (good, bare_signal)] {
             std::fs::write(&path, [prefix.as_slice(), &bad].concat()).unwrap();
@@ -861,6 +968,31 @@ mod tests {
             assert_eq!(recovery.signals.len(), usize::from(!prefix.is_empty()));
             assert_eq!(recovery.torn_tail_bytes, bad.len());
         }
+    }
+
+    /// The on-disk format, pinned byte for byte: changing either frame has
+    /// to be deliberate, because every log already written holds these.
+    #[test]
+    fn record_and_term_frames_match_their_goldens() {
+        const RECORD: &str = concat!(
+            "4c5349474a000000b17a67a0",         // "LSIG", length 74, CRC32C
+            "01010000000100000001000000",       // record tag, path 1|1|1
+            "01000000000000f03f",               // general_purpose, γ 1.0
+            "020000000000000001000000",         // epoch 2, one entry
+            "01000000010000000100000000000000", // key 1|1|1
+            "000000000000f03f",                 // λ[burstable] 1.0
+            "00000000000000000000000000000000", // the other two λ 0.0
+        );
+        const TERM: &str = concat!(
+            "4c53494709000000c6b72dac", // "LSIG", length 9, CRC32C
+            "020700000000000000",       // term tag, leader term 7
+        );
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(&frame_record(&record(1, 1.0, 2)).unwrap()), RECORD);
+        let (path, mut wal) = fresh_wal("goldens");
+        wal.append_term(7).unwrap();
+        drop(wal);
+        assert_eq!(hex(&std::fs::read(&path).unwrap()), TERM);
     }
 
     #[test]

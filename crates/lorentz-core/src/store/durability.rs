@@ -145,6 +145,18 @@ pub enum StoreError {
         /// The corruption found in the newest generation.
         last: StoreCorruption,
     },
+
+    /// A signal log written before WAL records went binary: its records
+    /// are JSON, which this build no longer reads. The file is left as
+    /// it is.
+    #[error(
+        "WAL {path} holds JSON-era records, a format this build no longer reads; \
+         the file was left unchanged"
+    )]
+    JsonEraWal {
+        /// Path of the log.
+        path: String,
+    },
 }
 
 fn io_err(path: &Path, source: io::Error) -> StoreError {

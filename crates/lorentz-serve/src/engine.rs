@@ -1,4 +1,5 @@
-//! The worker-pool request engine over hot-swappable store snapshots.
+//! The request engine over hot-swappable store snapshots: answers on the
+//! caller's thread, or through a worker pool started by the first submit.
 
 use crate::replication::ReplicationHub;
 use crate::types::{
@@ -77,6 +78,11 @@ struct Shared {
     /// Live worker handles. Replacement workers spawned by the supervisor
     /// land here too, so shutdown joins everything ever spawned.
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The response channel's sender until the first
+    /// [`ServingEngine::submit`] starts the pool with it. An engine only
+    /// ever asked through [`ServingEngine::answer`] starts no worker; the
+    /// unused sender goes with the engine, which closes the channel.
+    idle_pool: Mutex<Option<Sender<ServeResponse>>>,
     /// The λ-writer thread, joined at shutdown after its channel closes.
     feedback_worker: Mutex<Option<JoinHandle<()>>>,
     supervisor: Mutex<Supervisor>,
@@ -109,19 +115,20 @@ pub struct ServingEngine {
 }
 
 impl ServingEngine {
-    /// Spawns the worker pool and returns the engine plus the response
-    /// channel. Every accepted request produces exactly one
+    /// Starts the engine and returns it plus the response channel. Every
+    /// request accepted by [`ServingEngine::submit`] produces exactly one
     /// [`ServeResponse`] on the channel; the channel closes once the engine
-    /// is drained (or dropped) and all workers have exited.
+    /// is drained (or dropped) and all workers have exited. The worker
+    /// pool starts on the first `submit`, so an engine that only answers
+    /// on its callers' threads ([`ServingEngine::answer`]) runs no worker.
     ///
     /// The hot-swap store is seeded with a copy of `deployment`'s published
     /// store, so degraded-mode lookups answer from the same world as the
     /// live model until the first [`ServingEngine::publish`].
     ///
     /// # Errors
-    /// [`EngineError::SpawnFailed`] when the OS refuses a worker thread;
-    /// workers spawned before the failure are shut down first, so nothing
-    /// leaks.
+    /// [`EngineError::SpawnFailed`] when the OS refuses the λ-writer
+    /// thread.
     pub fn start(
         deployment: Arc<TrainedLorentz>,
         config: ServeConfig,
@@ -234,7 +241,8 @@ impl ServingEngine {
                 stats: EngineStats::default(),
             }),
             work: Condvar::new(),
-            workers: Mutex::new(Vec::with_capacity(worker_count)),
+            workers: Mutex::new(Vec::new()),
+            idle_pool: Mutex::new(Some(tx)),
             feedback_worker: Mutex::new(None),
             supervisor: Mutex::new(Supervisor {
                 restarts_used: 0,
@@ -260,42 +268,50 @@ impl ServingEngine {
             .feedback_worker
             .lock()
             .expect("engine feedback worker poisoned") = Some(writer);
-        for i in 0..worker_count {
-            match spawn_worker(&shared, &tx, i, Duration::ZERO) {
-                Ok(handle) => shared
-                    .workers
-                    .lock()
-                    .expect("engine workers poisoned")
-                    .push(handle),
-                Err(source) => {
-                    // `engine` drops here, which closes intake and joins
-                    // the workers already running.
-                    return Err(EngineError::SpawnFailed {
-                        name: format!("lorentz-serve-{i}"),
-                        source,
-                    });
-                }
-            }
-        }
         Ok((engine, rx))
     }
 
-    /// Offers one request to the engine. Admission is O(1) under the state
-    /// lock: a full queue or closed intake rejects immediately
-    /// (backpressure), otherwise the request is queued — in degraded mode
-    /// if the queue is already past the configured threshold — and a worker
-    /// is woken.
+    /// Spawns the worker pool if no `submit` has yet. A worker the OS
+    /// refuses leaves the pool one smaller; a pool that cannot start a
+    /// single worker stays unstarted, for the next `submit` to retry.
+    /// Returns whether the pool runs.
+    fn start_pool(&self) -> bool {
+        let mut idle = self.shared.idle_pool.lock().expect("engine pool poisoned");
+        let Some(tx) = idle.take() else {
+            return true;
+        };
+        let mut workers = self.shared.workers.lock().expect("engine workers poisoned");
+        for i in 0..self.shared.config.workers.max(1) {
+            if let Ok(handle) = spawn_worker(&self.shared, &tx, i, Duration::ZERO) {
+                workers.push(handle);
+            }
+        }
+        if workers.is_empty() {
+            *idle = Some(tx);
+            return false;
+        }
+        true
+    }
+
+    /// Offers one request to the engine. The first call starts the worker
+    /// pool. Admission is O(1) under the state lock: a full queue or
+    /// closed intake rejects immediately (backpressure), otherwise the
+    /// request is queued — in degraded mode if the queue is already past
+    /// the configured threshold — and a worker is woken.
     ///
     /// # Errors
-    /// [`ServeError::Saturated`] when the queue is at capacity,
-    /// [`ServeError::Draining`] after [`ServingEngine::drain`] has begun.
-    /// Rejected requests produce no [`ServeResponse`].
+    /// [`ServeError::Saturated`] when the queue is at capacity, or when the
+    /// OS refused every worker thread of the pool (a pool with no worker
+    /// has no capacity); [`ServeError::Draining`] after
+    /// [`ServingEngine::drain`] has begun. Rejected requests produce no
+    /// [`ServeResponse`].
     pub fn submit(&self, request: ServeRequest) -> Result<(), ServeError> {
         let now = Instant::now();
+        let pool_runs = self.start_pool();
         let mut state = self.shared.state.lock().expect("engine state poisoned");
         admit(&mut state)?;
         let depth = state.queue.len();
-        if depth >= self.shared.config.queue_capacity {
+        if !pool_runs || depth >= self.shared.config.queue_capacity {
             state.stats.rejected += 1;
             obs::ENGINE_REJECTED.inc();
             return Err(ServeError::Saturated(depth));
@@ -709,7 +725,9 @@ fn feedback_loop(shared: &Shared, rx: &Receiver<FeedbackMsg>, mut wal: Option<Si
                 // stream is byte-identical to the on-disk log. A failed
                 // append loses durability for this signal but not
                 // liveness: the epoch is already published, and the
-                // ledger still closes.
+                // ledger still closes. A record `frame_record` refuses (a
+                // non-finite γ or λ, which replay would reject) is neither
+                // logged nor sent.
                 if let Ok(frame) = frame_record(&WalRecord { signal, delta }) {
                     if let Some(wal) = wal.as_mut() {
                         let _ = wal.append_frame(&frame);
@@ -811,6 +829,42 @@ fn serve_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
 mod tests {
     use super::*;
     use lorentz_types::{CustomerId, ResourceGroupId, ServerOffering, SubscriptionId};
+
+    #[test]
+    fn the_pool_starts_on_the_first_submit() {
+        let deployment = crate::test_deployment();
+        let (engine, responses) = ServingEngine::start(
+            Arc::clone(&deployment),
+            ServeConfig {
+                workers: 3,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("engine start");
+        let request = |id| ServeRequest {
+            id,
+            profile: vec![None; deployment.profiles().schema().len()],
+            offering: ServerOffering::GeneralPurpose,
+            path: ResourcePath::new(CustomerId(0), SubscriptionId(0), ResourceGroupId(0)),
+            deadline: None,
+        };
+        let pool = |engine: &ServingEngine| engine.shared.workers.lock().unwrap().len();
+        assert_eq!(pool(&engine), 0, "no worker before any submit");
+        engine.answer(request(1)).unwrap();
+        assert_eq!(
+            pool(&engine),
+            0,
+            "answering on the caller's thread needs none"
+        );
+        engine.submit(request(2)).unwrap();
+        engine.submit(request(3)).unwrap();
+        assert_eq!(pool(&engine), 3, "the first submit starts the whole pool");
+        let stats = engine.drain();
+        assert_eq!((stats.accepted, stats.answered), (3, 3));
+        let mut ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [2, 3], "only submitted requests reach the channel");
+    }
 
     #[test]
     fn a_worker_panic_is_answered_and_the_worker_restarts() {

@@ -11,8 +11,9 @@
 //!   lock is held only for the refcount bump) and probe an immutable store
 //!   version lock-free, while [`ServingEngine::publish`] swaps in a fresh
 //!   snapshot atomically — zero-downtime re-publish under drift.
-//! * **Worker-pool execution** — [`ServingEngine::start`] spawns a fixed
-//!   worker pool behind a bounded submission queue.
+//! * **Worker-pool execution** — the first [`ServingEngine::submit`]
+//!   starts a fixed worker pool behind a bounded submission queue, so an
+//!   engine that is never submitted to runs no worker.
 //!   [`ServingEngine::submit`] applies backpressure: a full queue rejects
 //!   with [`ServeError::Saturated`] instead of buffering unboundedly.
 //!   [`ServingEngine::answer`] serves one request on the calling thread
@@ -34,7 +35,7 @@
 //!   exponential backoff, up to [`ServeConfig::max_worker_restarts`]) so a
 //!   poison-pill request cannot empty the pool. Engine construction itself
 //!   no longer panics: [`ServingEngine::start`] returns
-//!   [`EngineError::SpawnFailed`] when the OS refuses a thread.
+//!   [`EngineError::SpawnFailed`] when the OS refuses the λ-writer thread.
 //! * **Online feedback** — [`ServingEngine::submit_feedback`] routes
 //!   satisfaction signals to a dedicated λ-writer thread that applies the
 //!   Stage-3 message-propagation round off to the side and hot-publishes a
@@ -42,8 +43,8 @@
 //!   one snapshot per request, so the next recommendation for an affected
 //!   path shifts by `2^λ` with no model reload and no torn reads. With
 //!   [`ServingEngine::start_with_wal`] every accepted signal is appended
-//!   to a CRC-framed WAL and replayed on restart, so learned λ survives a
-//!   crash. Each WAL record carries the epoch-stamped λ delta the signal
+//!   to a CRC-framed WAL of binary records and replayed on restart, so
+//!   learned λ survives a crash. Each WAL record carries the epoch-stamped λ delta the signal
 //!   published, and publishes are generational-overlay deltas — O(keys
 //!   changed), never a full-table flatten. The drain ledger extends to
 //!   `feedback_accepted = feedback_applied`.

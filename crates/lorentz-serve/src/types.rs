@@ -130,10 +130,10 @@ pub type RequestError = ServeError;
 /// Why the engine itself (not an individual request) failed.
 #[derive(Debug, Error)]
 pub enum EngineError {
-    /// A worker thread could not be spawned during engine construction.
-    /// Already-spawned workers are shut down before this is returned, so a
-    /// failed start leaks nothing.
-    #[error("failed to spawn worker thread '{name}': {source}")]
+    /// A thread the engine needs from the start (the λ-writer, a
+    /// follower's tail thread) could not be spawned. Nothing else has
+    /// been spawned by then, so a failed start leaks nothing.
+    #[error("failed to spawn thread '{name}': {source}")]
     SpawnFailed {
         /// Name of the thread that failed to spawn.
         name: String,

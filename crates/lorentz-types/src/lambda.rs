@@ -10,19 +10,16 @@
 //! rows, so deltas are idempotent per epoch and safe to re-apply after a
 //! truncated tail is rescanned).
 //!
-//! Two encodings are provided:
-//!
-//! * JSON via the workspace serde stub — the human-readable form embedded
-//!   in SignalWal records (`lorentz wal-verify` prints it);
-//! * a fixed-layout binary pack ([`LambdaDelta::pack`] /
-//!   [`LambdaDelta::unpack`]) for the socket replication path, with
-//!   [`DeltaCorruption`] variants mirroring the
-//!   [`StoreCorruption`](crate::StoreCorruption) discipline.
+//! One encoding is provided: a fixed-layout binary pack
+//! ([`LambdaDelta::pack`] / [`LambdaDelta::unpack`]), which is the tail of
+//! every SignalWal record and so also of the replication stream that
+//! carries those records verbatim. [`DeltaCorruption`] variants mirror the
+//! [`StoreCorruption`](crate::StoreCorruption) discipline; `lorentz
+//! wal-verify` decodes the pack to print a record.
 
 use crate::error::DeltaCorruption;
 use crate::offering::ServerOffering;
 use crate::pathkey::PathKey;
-use serde::{Deserialize, JsonReader, Serialize, Value};
 
 /// Per-stratum λ values for one resource path, indexed by
 /// [`ServerOffering::ALL`] position.
@@ -92,7 +89,9 @@ impl LambdaDelta {
         }
         let epoch = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
         let n = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let need = PACK_HEADER_LEN + ENTRY_LEN * n;
+        // Checked against the input before anything is allocated for the
+        // declared count.
+        let need = ENTRY_LEN.saturating_mul(n).saturating_add(PACK_HEADER_LEN);
         if bytes.len() < need {
             return Err(DeltaCorruption::Truncated {
                 need,
@@ -120,72 +119,6 @@ impl LambdaDelta {
             entries.push((key, lambdas));
         }
         Ok(LambdaDelta { epoch, entries })
-    }
-}
-
-impl Serialize for LambdaDelta {
-    fn to_value(&self) -> Value {
-        let entries: Vec<Value> = self
-            .entries
-            .iter()
-            .map(|(key, lambdas)| Value::Seq(vec![key.to_value(), lambdas.to_value()]))
-            .collect();
-        Value::Map(vec![
-            ("epoch".to_owned(), self.epoch.to_value()),
-            ("entries".to_owned(), Value::Seq(entries)),
-        ])
-    }
-}
-
-impl Deserialize for LambdaDelta {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        if v.as_map().is_none() {
-            return Err(serde::Error::custom("lambda delta must be a map"));
-        }
-        let field = |name: &str| {
-            v.get_field(name)
-                .ok_or_else(|| serde::Error::custom(format!("delta missing field '{name}'")))
-        };
-        let epoch = u64::from_value(field("epoch")?)?;
-        let raw = field("entries")?
-            .as_seq()
-            .ok_or_else(|| serde::Error::custom("delta entries must be a sequence"))?;
-        let mut entries = Vec::with_capacity(raw.len());
-        for entry in raw {
-            let pair = entry
-                .as_seq()
-                .filter(|s| s.len() == 2)
-                .ok_or_else(|| serde::Error::custom("delta entry must be a [key, lambdas] pair"))?;
-            let key = PathKey::from_value(&pair[0])?;
-            let lambdas = <StratLambdas>::from_value(&pair[1])?;
-            entries.push((key, lambdas));
-        }
-        Ok(LambdaDelta { epoch, entries })
-    }
-
-    /// Reads the fields straight from the text. As with `get_field`, the
-    /// first occurrence of a field counts and unknown fields are skipped.
-    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
-        if r.peek() != Some(b'{') {
-            return Self::from_value(&r.read_value()?);
-        }
-        let (mut epoch, mut entries) = (None, None);
-        let mut key = r.begin_map()?;
-        while let Some(k) = key {
-            match &*k {
-                "epoch" if epoch.is_none() => epoch = Some(u64::read_json(r)?),
-                // Exactly what `from_value` takes: a sequence of
-                // `[key, lambdas]` pairs.
-                "entries" if entries.is_none() => entries = Some(Vec::read_json(r)?),
-                _ => r.skip_value()?,
-            }
-            key = r.next_key()?;
-        }
-        let missing = |name: &str| serde::Error::custom(format!("delta missing field '{name}'"));
-        Ok(LambdaDelta {
-            epoch: epoch.ok_or_else(|| missing("epoch"))?,
-            entries: entries.ok_or_else(|| missing("entries"))?,
-        })
     }
 }
 
@@ -263,16 +196,6 @@ mod tests {
             LambdaDelta::unpack(&bad),
             Err(DeltaCorruption::BadEntryKey { .. })
         ));
-    }
-
-    #[test]
-    fn json_round_trips_exactly() {
-        let d = sample();
-        let json = serde_json::to_string(&d).unwrap();
-        assert!(json.contains("\"epoch\":7"));
-        assert!(json.contains("\"1|1|1\""));
-        let back: LambdaDelta = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
     }
 
     #[test]

@@ -6,19 +6,17 @@
 //! the text's tree — on the writer's text and on mutations of it — the
 //! reader's edge cases — the nesting limit, 64-bit integer bounds, floats
 //! past them, `-0`, surrogate pairs, escapes, trailing input — are pinned,
-//! the reader stays linear on large strings and arrays, and no mutated
-//! WAL frame makes the WAL decoder panic.
+//! and the reader stays linear on large strings and arrays. WAL records
+//! are binary, not JSON: `tests/wal_props.rs` covers their decoder.
 
 use lorentz::core::explain::BucketSummary;
-use lorentz::core::personalizer::wal::{next_frame, wal_codec};
 use lorentz::core::{
-    Explanation, LorentzConfig, LorentzPipeline, Recommendation, SatisfactionSignal, TermRecord,
-    TrainedLorentz, WalRecord,
+    Explanation, LorentzConfig, LorentzPipeline, Recommendation, SatisfactionSignal, TrainedLorentz,
 };
 use lorentz::simdata::fleet::{FleetConfig, SyntheticFleet};
 use lorentz::types::{
-    Capacity, CustomerId, FeatureId, LambdaDelta, PathKey, ResourceGroupId, ResourcePath,
-    ServerOffering, Sku, StoreKey, SubscriptionId, ValueId,
+    Capacity, CustomerId, FeatureId, ResourceGroupId, ResourcePath, ServerOffering, Sku, StoreKey,
+    SubscriptionId, ValueId,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -204,16 +202,6 @@ fn signal(rng: &mut TestRng) -> SatisfactionSignal {
     }
 }
 
-fn delta(rng: &mut TestRng) -> LambdaDelta {
-    let entries = (0..rng.below(4))
-        .map(|_| {
-            let lambdas = [any_float(rng), any_float(rng), any_float(rng)];
-            (PathKey::new(path(rng)), lambdas)
-        })
-        .collect();
-    LambdaDelta::new(rng.next_u64(), entries)
-}
-
 /// Every shape the derive supports.
 #[derive(Debug, Serialize, Deserialize)]
 enum Shape {
@@ -328,12 +316,11 @@ proptest! {
         writes_like_its_tree(&rec)?;
     }
 
-    /// WAL records and their parts write like their trees.
+    /// Satisfaction signals, the one part of a WAL record that still has
+    /// a JSON form, write like their trees.
     #[test]
-    fn wal_records_write_like_their_trees(signal in Sampled(signal), delta in Sampled(delta)) {
+    fn wal_records_write_like_their_trees(signal in Sampled(signal)) {
         writes_like_its_tree(&signal)?;
-        writes_like_its_tree(&delta)?;
-        writes_like_its_tree(&WalRecord { signal, delta })?;
     }
 
     /// Maps write keys in the tree's order: a `BTreeMap` in key order, a
@@ -529,19 +516,14 @@ proptest! {
         }
     }
 
-    /// WAL records read like their trees, as records and, as `parse_entry`
-    /// tries next, as term markers.
+    /// Satisfaction signals, the one part of a WAL record that still has
+    /// a JSON form, read like their trees.
     #[test]
-    fn wal_records_read_like_their_trees(texts in Sampled(|rng: &mut TestRng| {
-        let record = WalRecord { signal: signal(rng), delta: delta(rng) };
-        let mut texts = mutated_texts(&record, rng);
-        texts.extend(mutated_texts(&TermRecord { leader_term: rng.next_u64() }, rng));
-        texts
-    })) {
+    fn wal_records_read_like_their_trees(
+        texts in Sampled(|rng: &mut TestRng| mutated_texts(&signal(rng), rng))
+    ) {
         for text in &texts {
-            reads_like_its_tree::<WalRecord>(text)?;
-            reads_like_its_tree::<TermRecord>(text)?;
-            reads_like_its_tree::<LambdaDelta>(text)?;
+            reads_like_its_tree::<SatisfactionSignal>(text)?;
         }
     }
 
@@ -587,35 +569,6 @@ proptest! {
             reads_like_its_tree::<Vec<f32>>(text)?;
             reads_like_its_tree::<(Option<f64>, Option<char>)>(text)?;
             reads_like_its_tree::<Value>(text)?;
-        }
-    }
-
-    /// No mutation of a WAL frame makes the WAL decoder panic: bit flips
-    /// and truncations of the framed bytes, and mutated payloads framed
-    /// with a valid checksum so they reach the JSON reader.
-    #[test]
-    fn mutated_wal_frames_decode_without_panicking(logs in Sampled(|rng: &mut TestRng| {
-        let record = WalRecord { signal: signal(rng), delta: delta(rng) };
-        let frame = wal_codec().encode(serde_json::to_string(&record).unwrap().as_bytes());
-        let mut logs: Vec<Vec<u8>> = mutated_texts(&record, rng)
-            .iter()
-            .map(|text| wal_codec().encode(text.as_bytes()))
-            .collect();
-        for _ in 0..4 {
-            let mut bytes = frame.clone();
-            let bit = rng.below(bytes.len() as u64 * 8) as usize;
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            logs.push(bytes);
-            logs.push(frame[..rng.below(frame.len() as u64) as usize].to_vec());
-        }
-        logs
-    })) {
-        for log in &logs {
-            let mut offset = 0;
-            while let Some(Ok((_, end))) = next_frame(log, offset) {
-                prop_assert!(end > offset && end <= log.len());
-                offset = end;
-            }
         }
     }
 }
