@@ -90,21 +90,22 @@ USAGE:
                      last applied epoch — requires --feedback-wal)
   lorentz serve     --model model.json --requests requests.ndjson
                     --follow tcp://HOST:PORT
-                    [--kind hierarchical|target-encoding] [--replica-wal wal.log]
+                    [--kind hierarchical|target-encoding] [--shards N] [--replica-wal wal.log]
                     [--promote-listen ADDR] [--promote-after-ms N] [--await-promotion]
                     [--run-ms MS] [--json] [--metrics-out metrics.json]
                     (replication follower: subscribes to a leader's
                      --replicate-listen — over loopback, tcp://127.0.0.1:PORT, on
                      the leader's machine — catches up on its stream, applies its
-                     λ deltas, then serves the requests from the replicated epochs;
+                     λ deltas, then serves the requests from the replicated epochs
+                     (not over TCP: --listen and --follow cannot be combined);
                      feedback lines are rejected while following, only the leader
                      mints epochs. --replica-wal persists received frames
                      byte-identical to the leader's log before applying them, so a
                      restart resumes from the last epoch, and --promote-listen
                      arms promotion: after the leader stays unreachable for
                      --promote-after-ms (default 1000), the follower that binds
-                     ADDR first becomes a serving leader over its replica WAL
-                     and accepts feedback; --await-promotion holds the request
+                     ADDR first becomes the leader on its replica WAL, keeping
+                     its --shards and the λ it replicated, and accepts feedback; --await-promotion holds the request
                      lines until that happens; --run-ms keeps the follower alive —
                      tailing, promotable, serving a promoted listener — for MS
                      milliseconds after the request lines, for standby deployments
@@ -633,6 +634,12 @@ fn wait_for_quiescence(engine: &ServingEngine) {
 /// answers are printed to stdout ordered by request id.
 pub fn serve(args: &Args) -> Result<(), CliError> {
     use serde::Serialize;
+    if args.get("listen").is_some() && args.get("follow").is_some() {
+        return Err(CliError::Usage(
+            "--listen and --follow cannot be combined: a standby serves --requests lines only"
+                .to_owned(),
+        ));
+    }
     let deployment = Arc::new(load_model(args.require("model")?)?);
     let kind = match args.get_or("kind", "hierarchical") {
         "hierarchical" => ModelKind::Hierarchical,
@@ -656,7 +663,7 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     let text = fs::read_to_string(requests_path).map_err(|e| CliError::io(requests_path, e))?;
     let lines = parse_serve_lines(&text, requests_path, deployment.profiles().schema())?;
     if let Some(spec) = args.get("follow") {
-        return serve_follow(args, deployment, lines, kind, &Endpoint::parse(spec)?);
+        return serve_follow(args, deployment, lines, config, &Endpoint::parse(spec)?);
     }
     let total = lines
         .iter()
@@ -865,28 +872,25 @@ fn serve_follow(
     args: &Args,
     deployment: Arc<TrainedLorentz>,
     lines: Vec<ServeLine>,
-    kind: ModelKind,
+    serve: ServeConfig,
     endpoint: &Endpoint,
 ) -> Result<(), CliError> {
     use serde::Serialize;
     let mut config = FollowerConfig {
-        kind,
-        ..FollowerConfig::default()
+        serve,
+        local_wal: args.get("replica-wal").map(Into::into),
+        promote: None,
     };
-    if let Some(path) = args.get("replica-wal") {
-        config.local_wal = Some(path.into());
-    }
     if let Some(listen) = args.get("promote-listen") {
-        let wal = args.get("replica-wal").ok_or_else(|| {
-            CliError::Usage(
-                "--promote-listen requires --replica-wal (the promoted leader replays it)"
+        if config.local_wal.is_none() {
+            return Err(CliError::Usage(
+                "--promote-listen requires --replica-wal (the promoted leader leads on it)"
                     .to_owned(),
-            )
-        })?;
+            ));
+        }
         config.promote = Some(PromoteConfig {
             listen: Some(listen.to_owned()),
             detection_timeout: Duration::from_millis(args.get_parse_or("promote-after-ms", 1000)?),
-            ..PromoteConfig::new(wal)
         });
     }
     let follower = FollowerEngine::start_tcp(deployment, endpoint.as_tcp(), config)?;
@@ -908,7 +912,7 @@ fn serve_follow(
             }
             std::thread::sleep(Duration::from_millis(20));
         }
-        eprintln!("promoted to leader; serving from the local WAL");
+        eprintln!("promoted to leader; serving the replicated lambda, feedback open");
     }
     let mut rows: Vec<serde::Value> = Vec::new();
     let mut served = 0u64;
@@ -917,12 +921,14 @@ fn serve_follow(
     for line in lines {
         match line {
             ServeLine::Request(request) => {
-                let started = std::time::Instant::now();
-                let result = follower.recommend_one(&request);
-                let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                let id = request.id;
+                let (result, latency_ns) = match follower.engine().answer(request) {
+                    Ok(response) => (response.result, response.latency_ns),
+                    Err(e) => (Err(e), 0),
+                };
                 served += 1;
                 if args.has_switch("json") {
-                    let mut fields = vec![("id".to_owned(), serde::Value::UInt(request.id))];
+                    let mut fields = vec![("id".to_owned(), serde::Value::UInt(id))];
                     match &result {
                         Ok(rec) => fields.push(("ok".to_owned(), rec.to_value())),
                         Err(e) => {
@@ -934,8 +940,8 @@ fn serve_follow(
                     rows.push(serde::Value::Map(fields));
                 } else {
                     match &result {
-                        Ok(rec) => println!("[{}] {rec}", request.id),
-                        Err(e) => println!("[{}] error: {e}", request.id),
+                        Ok(rec) => println!("[{id}] {rec}"),
+                        Err(e) => println!("[{id}] error: {e}"),
                     }
                 }
             }
@@ -964,9 +970,9 @@ fn serve_follow(
             std::thread::sleep(Duration::from_millis(20));
         }
     }
-    let lambda_version = follower.lambda_version();
+    let lambda_version = follower.engine().lambda_version();
     let promoted = follower.is_leader();
-    let term = follower.leader_term();
+    let term = follower.engine().leader_term();
     let state_label = match follower.state() {
         lorentz_serve::ReplicaState::Following => "following".to_owned(),
         lorentz_serve::ReplicaState::Leader => "leader".to_owned(),

@@ -48,9 +48,8 @@ pub use cost::{bill_fleet, CostModel, FleetBill};
 pub use explain::{Explanation, Recommendation};
 pub use fleet::FleetDataset;
 pub use personalizer::{
-    LambdaEpoch, LambdaSnapshot, LambdaStore, Personalizer, PersonalizerConfig, PollBackoff,
-    SatisfactionSignal, ShardedLambdaStore, SignalWal, WalEntry, WalRecord, WalRecovery, WalReplay,
-    WalVerifyReport,
+    LambdaEpoch, LambdaSnapshot, Personalizer, PersonalizerConfig, PollBackoff, SatisfactionSignal,
+    ShardedLambdaStore, SignalWal, WalEntry, WalRecord, WalRecovery, WalReplay, WalVerifyReport,
 };
 pub use pipeline::{
     LiveModel, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest, StoreOnly,

@@ -34,7 +34,7 @@
 //! | `store.recovery.fallbacks` | counter | generations skipped as corrupt during load |
 //! | `personalizer.signals` | counter | satisfaction signals applied |
 //! | `personalizer.profiles_touched` | counter | profiles updated across all propagation rounds |
-//! | `personalizer.lambda.publishes` | counter | λ epochs published by the LambdaStore |
+//! | `personalizer.lambda.publishes` | counter | λ epochs published by the λ store |
 //! | `personalizer.lambda.delta_keys` | counter | changed λ keys carried by published deltas |
 //! | `personalizer.lambda.compactions` | counter | overlay generations folded into a new base |
 //! | `personalizer.wal.appends` | counter | signals appended durably to the WAL |

@@ -2,8 +2,9 @@
 //!
 //! Batch training freezes a [`Personalizer`] inside the deployment; online
 //! personalization needs the same λ scores to keep moving while requests
-//! are in flight. [`LambdaStore`] separates the two roles with the same
-//! snapshot discipline as
+//! are in flight. Each shard of a
+//! [`ShardedLambdaStore`](super::ShardedLambdaStore) separates the two
+//! roles with the same snapshot discipline as
 //! [`ShardedPredictionStore`](crate::ShardedPredictionStore), but publishes
 //! *deltas*, not full tables:
 //!
@@ -141,42 +142,13 @@ struct WriterState {
     pending: LambdaTable,
 }
 
-/// Live-updatable Stage-3 state: a single-writer [`Personalizer`] plus the
-/// atomic-Arc epoch slot readers probe. Publishes are O(keys changed);
-/// [`LambdaStore::publish_delta`] returns the [`LambdaDelta`] a follower
-/// needs to replay the epoch, and [`LambdaStore::apply_delta`] is that
-/// follower-side replay.
-///
-/// ```
-/// use lorentz_core::personalizer::{LambdaStore, Personalizer, PersonalizerConfig};
-/// use lorentz_core::SatisfactionSignal;
-/// use lorentz_types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
-///
-/// let store = LambdaStore::new(Personalizer::new(PersonalizerConfig::default())?);
-/// let path = ResourcePath::new(CustomerId(1), SubscriptionId(1), ResourceGroupId(1));
-/// let before = store.snapshot();
-///
-/// store.apply_signal(&SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, 1.0)?);
-/// let delta = store.publish_delta();
-/// assert_eq!(delta.epoch, 2);
-/// assert_eq!(delta.entries.len(), 1); // only the touched key is republished
-///
-/// // The old epoch is immutable; a fresh one sees the new λ.
-/// assert_eq!(before.lambda(&path, ServerOffering::GeneralPurpose), 0.0);
-/// let after = store.snapshot();
-/// assert!((after.lambda(&path, ServerOffering::GeneralPurpose) - 0.3).abs() < 1e-12);
-/// assert!(after.version() > before.version());
-///
-/// // A follower replays the delta and converges bit-exactly.
-/// let follower = LambdaStore::new(Personalizer::new(PersonalizerConfig::default())?);
-/// follower.apply_delta(&delta)?;
-/// assert_eq!(
-///     follower.snapshot().lambda(&path, ServerOffering::GeneralPurpose),
-///     after.lambda(&path, ServerOffering::GeneralPurpose),
-/// );
-/// # Ok::<(), lorentz_types::LorentzError>(())
-/// ```
-pub struct LambdaStore {
+/// One shard of a [`ShardedLambdaStore`](super::ShardedLambdaStore): a
+/// single-writer [`Personalizer`] plus the atomic-Arc epoch slot readers
+/// probe. Publishes are O(keys changed) and happen at epochs the sharded
+/// store mints; [`LambdaStore::publish_delta_at`] returns the
+/// [`LambdaDelta`] a follower needs to replay the epoch, and
+/// [`LambdaStore::apply_delta`] is that follower-side replay.
+pub(crate) struct LambdaStore {
     /// The single writer's working state.
     writer: parking_lot::Mutex<WriterState>,
     /// The published epoch readers clone.
@@ -197,36 +169,35 @@ impl std::fmt::Debug for LambdaStore {
 impl LambdaStore {
     /// Wraps a personalizer (typically the batch-trained Stage-3 state)
     /// and publishes its current λ values as the base of epoch 1.
-    pub fn new(personalizer: Personalizer) -> Self {
-        let seed = Arc::new(LambdaEpoch {
-            epoch: 1,
-            len: personalizer.profiles(),
-            overlays: Vec::new(),
-            base: Arc::new(flatten(&personalizer)),
-        });
+    pub(crate) fn new(personalizer: Personalizer) -> Self {
         Self {
+            slot: parking_lot::Mutex::new(seed_epoch(&personalizer)),
             writer: parking_lot::Mutex::new(WriterState {
                 personalizer,
                 pending: LambdaTable::default(),
             }),
-            slot: parking_lot::Mutex::new(seed),
         }
     }
 
+    /// Discards the writer state and every published epoch, starting over
+    /// from `personalizer` at epoch 1 exactly as [`LambdaStore::new`] does.
+    pub(crate) fn reset(&self, personalizer: Personalizer) {
+        let mut w = self.writer.lock();
+        *self.slot.lock() = seed_epoch(&personalizer);
+        *w = WriterState {
+            personalizer,
+            pending: LambdaTable::default(),
+        };
+    }
+
     /// The current epoch — a cheap `Arc` clone; probe it lock-free.
-    pub fn snapshot(&self) -> Arc<LambdaEpoch> {
+    pub(crate) fn snapshot(&self) -> Arc<LambdaEpoch> {
         self.slot.lock().clone()
     }
 
-    /// The currently published epoch number.
-    pub fn version(&self) -> u64 {
-        self.slot.lock().epoch
-    }
-
     /// Applies one signal to the writer state, accumulating the touched
-    /// keys for the next delta. Not visible to readers until
-    /// [`LambdaStore::publish`].
-    pub fn apply_signal(&self, signal: &SatisfactionSignal) {
+    /// keys for the next delta. Not visible to readers until published.
+    pub(crate) fn apply_signal(&self, signal: &SatisfactionSignal) {
         let w = &mut *self.writer.lock();
         let pending = &mut w.pending;
         w.personalizer.apply_signal_sink(signal, |path, lambdas| {
@@ -234,49 +205,19 @@ impl LambdaStore {
         });
     }
 
-    /// Applies a batch of signals in order. Not visible to readers until
-    /// [`LambdaStore::publish`].
-    pub fn apply_signals(&self, signals: &[SatisfactionSignal]) {
-        let w = &mut *self.writer.lock();
-        let pending = &mut w.pending;
-        for signal in signals {
-            w.personalizer.apply_signal_sink(signal, |path, lambdas| {
-                pending.insert(PathKey::new(path).pack(), lambdas);
-            });
-        }
-    }
-
-    /// Publishes pending changes as a new epoch, returning its number.
-    /// Shorthand for [`LambdaStore::publish_delta`] when the delta itself
-    /// is not needed.
-    pub fn publish(&self) -> u64 {
-        self.publish_delta().epoch
-    }
-
     /// Publishes the keys touched since the last publish as a new overlay
-    /// generation and swaps the epoch pointer — O(keys changed), never a
-    /// full flatten. Returns the epoch-stamped [`LambdaDelta`] (sorted,
-    /// canonical) for WAL framing and replication. An empty delta still
-    /// advances the epoch.
-    pub fn publish_delta(&self) -> LambdaDelta {
-        let mut w = self.writer.lock();
-        let current = self.slot.lock().clone();
-        let epoch = current.epoch + 1;
-        self.publish_pending(&mut w, &current, epoch)
-    }
-
-    /// Like [`LambdaStore::publish_delta`], but publishing at an
-    /// externally minted epoch number instead of `current + 1`. This is
-    /// how a sharded λ store keeps one global, WAL-monotone epoch sequence
-    /// across per-customer shards: a central counter mints the number and
-    /// the owning shard publishes at it, so shard-local epochs advance
-    /// with gaps (which delta replay already tolerates) while the framed
-    /// records stay strictly increasing.
+    /// generation at an externally minted `epoch` and swaps the epoch
+    /// pointer — O(keys changed), never a full flatten. Returns the
+    /// epoch-stamped [`LambdaDelta`] (sorted, canonical) for WAL framing
+    /// and replication; an empty delta still advances the epoch. A
+    /// central counter mints the number, so shard-local epochs advance
+    /// with gaps (which delta replay tolerates) while the framed records
+    /// stay strictly increasing.
     ///
     /// # Errors
     /// [`DeltaCorruption::EpochRegression`] if `epoch` does not advance
     /// this store's current epoch; pending changes stay pending.
-    pub fn publish_delta_at(&self, epoch: u64) -> Result<LambdaDelta, DeltaCorruption> {
+    pub(crate) fn publish_delta_at(&self, epoch: u64) -> Result<LambdaDelta, DeltaCorruption> {
         let mut w = self.writer.lock();
         let current = self.slot.lock().clone();
         if epoch <= current.epoch {
@@ -285,18 +226,6 @@ impl LambdaStore {
                 got: epoch,
             });
         }
-        Ok(self.publish_pending(&mut w, &current, epoch))
-    }
-
-    /// Publishes the writer's pending keys at `epoch` and returns the
-    /// delta. Caller holds the writer lock and guarantees the epoch
-    /// advances.
-    fn publish_pending(
-        &self,
-        w: &mut WriterState,
-        current: &LambdaEpoch,
-        epoch: u64,
-    ) -> LambdaDelta {
         let pending = std::mem::take(&mut w.pending);
         let len = w.personalizer.profiles();
         let delta = LambdaDelta::new(
@@ -306,38 +235,41 @@ impl LambdaStore {
                 .map(|(k, v)| (PathKey::unpack(*k).expect("packed from PathKey"), *v))
                 .collect(),
         );
-        self.swap_epoch(current, epoch, pending, len);
-        delta
+        self.swap_epoch(&current, epoch, pending, len);
+        Ok(delta)
     }
 
-    /// Applies a replicated delta — the follower-side mirror of
-    /// [`LambdaStore::publish_delta`]: upserts every entry into the writer
-    /// state and publishes at exactly `delta.epoch`. Epochs must advance
-    /// monotonically but may skip numbers (a leader publishes epochs that
-    /// never reach the WAL, e.g. the post-replay epoch after a restart).
+    /// Applies replicated delta entries — the follower-side mirror of
+    /// [`LambdaStore::publish_delta_at`]: upserts every entry into the
+    /// writer state and publishes at exactly `epoch`. Epochs must advance
+    /// but may skip numbers (a leader publishes epochs that never reach
+    /// the WAL, e.g. the post-replay epoch after a restart).
     ///
     /// # Errors
-    /// [`DeltaCorruption::EpochRegression`] if `delta.epoch` does not
-    /// advance the store's current epoch; the store is unchanged.
-    pub fn apply_delta(&self, delta: &LambdaDelta) -> Result<u64, DeltaCorruption> {
+    /// [`DeltaCorruption::EpochRegression`] if `epoch` does not advance
+    /// the store's current epoch; the store is unchanged.
+    pub(crate) fn apply_delta<'a>(
+        &self,
+        epoch: u64,
+        entries: impl IntoIterator<Item = &'a (PathKey, StratLambdas)>,
+    ) -> Result<u64, DeltaCorruption> {
         let mut w = self.writer.lock();
         let current = self.slot.lock().clone();
-        if delta.epoch <= current.epoch {
+        if epoch <= current.epoch {
             return Err(DeltaCorruption::EpochRegression {
                 current: current.epoch,
-                got: delta.epoch,
+                got: epoch,
             });
         }
         let state = &mut *w;
-        for (key, lambdas) in &delta.entries {
+        for (key, lambdas) in entries {
             state.personalizer.set_lambdas(key.path(), *lambdas);
             state.pending.insert(key.pack(), *lambdas);
         }
         let pending = std::mem::take(&mut state.pending);
         let len = state.personalizer.profiles();
-        self.swap_epoch(&current, delta.epoch, pending, len);
-        drop(w);
-        Ok(delta.epoch)
+        self.swap_epoch(&current, epoch, pending, len);
+        Ok(epoch)
     }
 
     /// Fast-forwards the published epoch number to `epoch` without
@@ -345,7 +277,7 @@ impl LambdaStore {
     /// the resulting epoch. Used after WAL replay so the next publish
     /// continues the on-disk epoch numbering instead of restarting below
     /// records already written.
-    pub fn restore_epoch(&self, epoch: u64) -> u64 {
+    pub(crate) fn restore_epoch(&self, epoch: u64) -> u64 {
         let _writer = self.writer.lock();
         let current = self.slot.lock().clone();
         if current.epoch >= epoch {
@@ -400,12 +332,16 @@ impl LambdaStore {
         });
         obs::LAMBDA_PUBLISHES.inc();
     }
+}
 
-    /// Runs `f` against the writer-side personalizer (for reports and
-    /// persistence — the serve path reads snapshots instead).
-    pub fn with_personalizer<R>(&self, f: impl FnOnce(&Personalizer) -> R) -> R {
-        f(&self.writer.lock().personalizer)
-    }
+/// Epoch 1 over `personalizer`: its whole λ table as the base, no overlays.
+fn seed_epoch(personalizer: &Personalizer) -> Arc<LambdaEpoch> {
+    Arc::new(LambdaEpoch {
+        epoch: 1,
+        len: personalizer.profiles(),
+        overlays: Vec::new(),
+        base: Arc::new(flatten(personalizer)),
+    })
 }
 
 /// Flattens the nested λ tree into the packed-key table an epoch's base
@@ -435,6 +371,13 @@ mod tests {
         LambdaStore::new(Personalizer::new(PersonalizerConfig::default()).unwrap())
     }
 
+    /// Publishes at the next epoch, as a one-shard sharded store does.
+    fn publish(store: &LambdaStore) -> LambdaDelta {
+        store
+            .publish_delta_at(store.snapshot().version() + 1)
+            .unwrap()
+    }
+
     #[test]
     fn seed_snapshot_carries_trained_lambdas() {
         let mut p = Personalizer::new(PersonalizerConfig::default()).unwrap();
@@ -462,7 +405,7 @@ mod tests {
                 .lambda(&path(1, 1, 1), ServerOffering::GeneralPurpose),
             0.0
         );
-        let v = store.publish();
+        let v = publish(&store).epoch;
         assert_eq!(v, 2);
         let after = store.snapshot();
         assert!((after.lambda(&path(1, 1, 1), ServerOffering::GeneralPurpose) - 0.3).abs() < 1e-12);
@@ -482,13 +425,11 @@ mod tests {
                     .unwrap();
             store.apply_signal(&sig);
         }
-        store.publish();
+        publish(&store);
         let snap = store.snapshot();
-        store.with_personalizer(|p| {
-            for (path, offering, lambda) in p.iter() {
-                assert_eq!(snap.lambda(&path, offering), lambda);
-            }
-        });
+        for (path, offering, lambda) in store.writer.lock().personalizer.iter() {
+            assert_eq!(snap.lambda(&path, offering), lambda);
+        }
     }
 
     #[test]
@@ -499,12 +440,16 @@ mod tests {
         for _ in 0..3 {
             store.apply_signal(&sig);
         }
-        store.publish();
+        publish(&store);
         let snap = store.snapshot();
         let catalog = SkuCatalog::azure_postgres(ServerOffering::GeneralPurpose);
         let via_snapshot = snap.adjust(4.0, &loc, ServerOffering::GeneralPurpose, &catalog);
-        let via_writer = store
-            .with_personalizer(|p| p.adjust(4.0, &loc, ServerOffering::GeneralPurpose, &catalog));
+        let via_writer = store.writer.lock().personalizer.adjust(
+            4.0,
+            &loc,
+            ServerOffering::GeneralPurpose,
+            &catalog,
+        );
         assert_eq!(via_snapshot, via_writer);
         assert_eq!(via_snapshot.capacity.primary(), 8.0);
     }
@@ -518,7 +463,7 @@ mod tests {
         let sig =
             SatisfactionSignal::new(path(1, 1, 1), ServerOffering::GeneralPurpose, 1.0).unwrap();
         store.apply_signal(&sig);
-        let delta = store.publish_delta();
+        let delta = publish(&store);
         assert_eq!(delta.epoch, 2);
         assert_eq!(delta.entries.len(), 1);
         assert_eq!(delta.entries[0].0, PathKey::new(path(1, 1, 1)));
@@ -532,7 +477,7 @@ mod tests {
     #[test]
     fn empty_publish_advances_epoch_without_entries() {
         let store = store();
-        let delta = store.publish_delta();
+        let delta = publish(&store);
         assert_eq!(delta.epoch, 2);
         assert!(delta.is_empty());
         assert_eq!(store.snapshot().generations(), 0);
@@ -545,16 +490,14 @@ mod tests {
             let sig = SatisfactionSignal::new(path(1, 1, i), ServerOffering::GeneralPurpose, 1.0)
                 .unwrap();
             store.apply_signal(&sig);
-            store.publish();
+            publish(&store);
         }
         let snap = store.snapshot();
         assert!(snap.generations() <= MAX_OVERLAY_GENERATIONS);
         // Every published value still resolves, merged or not.
-        store.with_personalizer(|p| {
-            for (loc, off, l) in p.iter() {
-                assert_eq!(snap.lambda(&loc, off).to_bits(), l.to_bits());
-            }
-        });
+        for (loc, off, l) in store.writer.lock().personalizer.iter() {
+            assert_eq!(snap.lambda(&loc, off).to_bits(), l.to_bits());
+        }
     }
 
     #[test]
@@ -566,13 +509,16 @@ mod tests {
             SatisfactionSignal::new(path(1, 1, 1), ServerOffering::GeneralPurpose, 0.5).unwrap();
         for _ in 0..(MAX_OVERLAY_GENERATIONS + 1) {
             store.apply_signal(&sig);
-            store.publish();
+            publish(&store);
         }
         let snap = store.snapshot();
         assert_eq!(snap.generations(), 0, "overlays folded into the base");
         assert_eq!(snap.version(), 2 + MAX_OVERLAY_GENERATIONS as u64);
-        let expect =
-            store.with_personalizer(|p| p.lambda(&path(1, 1, 1), ServerOffering::GeneralPurpose));
+        let expect = store
+            .writer
+            .lock()
+            .personalizer
+            .lambda(&path(1, 1, 1), ServerOffering::GeneralPurpose);
         assert_eq!(
             snap.lambda(&path(1, 1, 1), ServerOffering::GeneralPurpose),
             expect
@@ -589,34 +535,32 @@ mod tests {
                 SatisfactionSignal::new(path(1, i, i * 10), ServerOffering::MemoryOptimized, gamma)
                     .unwrap();
             leader.apply_signal(&sig);
-            deltas.push(leader.publish_delta());
+            deltas.push(publish(&leader));
         }
         for d in &deltas {
-            follower.apply_delta(d).unwrap();
+            follower.apply_delta(d.epoch, &d.entries).unwrap();
         }
-        assert_eq!(follower.version(), leader.version());
         let l = leader.snapshot();
         let f = follower.snapshot();
+        assert_eq!(f.version(), l.version());
         assert_eq!(f.len(), l.len());
-        leader.with_personalizer(|p| {
-            for (loc, off, lambda) in p.iter() {
-                assert_eq!(f.lambda(&loc, off).to_bits(), lambda.to_bits());
-                assert_eq!(l.lambda(&loc, off).to_bits(), lambda.to_bits());
-            }
-        });
+        for (loc, off, lambda) in leader.writer.lock().personalizer.iter() {
+            assert_eq!(f.lambda(&loc, off).to_bits(), lambda.to_bits());
+            assert_eq!(l.lambda(&loc, off).to_bits(), lambda.to_bits());
+        }
     }
 
     #[test]
     fn apply_delta_rejects_stale_epochs() {
         let store = store();
         let delta = LambdaDelta::new(1, vec![(PathKey::new(path(1, 1, 1)), [9.0, 9.0, 9.0])]);
-        let err = store.apply_delta(&delta).unwrap_err();
+        let err = store.apply_delta(delta.epoch, &delta.entries).unwrap_err();
         assert!(matches!(
             err,
             DeltaCorruption::EpochRegression { current: 1, got: 1 }
         ));
         // The rejected delta left no trace.
-        assert_eq!(store.version(), 1);
+        assert_eq!(store.snapshot().version(), 1);
         assert_eq!(
             store
                 .snapshot()
@@ -635,7 +579,7 @@ mod tests {
         let delta = store.publish_delta_at(7).unwrap();
         assert_eq!(delta.epoch, 7);
         assert_eq!(delta.entries.len(), 1);
-        assert_eq!(store.version(), 7);
+        assert_eq!(store.snapshot().version(), 7);
         // Regression is refused and the pending keys survive for the next
         // valid publish.
         store.apply_signal(&sig);
@@ -647,16 +591,16 @@ mod tests {
         let delta = store.publish_delta_at(9).unwrap();
         assert_eq!(delta.epoch, 9);
         assert_eq!(delta.entries.len(), 1, "pending keys were not lost");
-        // The plain publisher continues from the adopted numbering.
-        assert_eq!(store.publish_delta().epoch, 10);
+        // The next publish continues from the adopted numbering.
+        assert_eq!(publish(&store).epoch, 10);
     }
 
     #[test]
     fn apply_delta_accepts_epoch_gaps() {
         let store = store();
         let delta = LambdaDelta::new(7, vec![(PathKey::new(path(1, 1, 1)), [0.5, 0.5, 0.5])]);
-        assert_eq!(store.apply_delta(&delta).unwrap(), 7);
-        assert_eq!(store.version(), 7);
+        assert_eq!(store.apply_delta(delta.epoch, &delta.entries).unwrap(), 7);
+        assert_eq!(store.snapshot().version(), 7);
     }
 
     #[test]
@@ -665,7 +609,7 @@ mod tests {
         let sig =
             SatisfactionSignal::new(path(1, 1, 1), ServerOffering::GeneralPurpose, 1.0).unwrap();
         store.apply_signal(&sig);
-        store.publish();
+        publish(&store);
         let before = store.snapshot();
         assert_eq!(store.restore_epoch(9), 9);
         // Already past it: no-op.

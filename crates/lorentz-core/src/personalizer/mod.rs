@@ -12,7 +12,7 @@ pub mod sharded;
 pub mod signals;
 pub mod wal;
 
-pub use lambda::{LambdaEpoch, LambdaSnapshot, LambdaStore};
+pub use lambda::{LambdaEpoch, LambdaSnapshot};
 pub use sharded::ShardedLambdaStore;
 pub use signals::{classify_ticket, CriTicket, KeywordClassifier};
 pub use wal::{
@@ -99,7 +99,7 @@ impl PersonalizerConfig {
 }
 
 /// One customer-satisfaction signal routed to a profile location.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SatisfactionSignal {
     /// Which customer / subscription / resource group the signal concerns.
     pub path: ResourcePath,
@@ -284,10 +284,10 @@ impl Personalizer {
 
     /// [`Personalizer::apply_signal`] that additionally reports every
     /// profile the propagation round updated — `(path, post-update λ row)`
-    /// pairs — to `sink`, in tree order. This is how [`LambdaStore`]
-    /// materializes the delta of touched keys for epoch publishing without
-    /// a second tree walk; the plain entry point passes a no-op sink,
-    /// which monomorphizes back to the original loop.
+    /// pairs — to `sink`, in tree order. This is how the λ store
+    /// ([`ShardedLambdaStore`]) materializes the delta of touched keys for
+    /// epoch publishing without a second tree walk; the plain entry point
+    /// passes a no-op sink, which monomorphizes back to the original loop.
     pub fn apply_signal_sink(
         &mut self,
         signal: &SatisfactionSignal,
@@ -411,8 +411,8 @@ impl Personalizer {
     }
 
     /// Iterates all registered profiles as `(path, per-stratum λ)` in
-    /// deterministic order — the flattening walk [`LambdaStore`] publishes
-    /// from.
+    /// deterministic order — the flattening walk a λ-store shard publishes
+    /// its seed epoch from.
     pub(crate) fn iter_profiles(&self) -> impl Iterator<Item = (ResourcePath, StratLambdas)> + '_ {
         self.store.iter().flat_map(|(cu, subs)| {
             subs.iter().flat_map(move |(su, rgs)| {

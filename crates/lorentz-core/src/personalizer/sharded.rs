@@ -1,5 +1,5 @@
-//! The sharded λ store: per-customer Stage-3 shards under one global,
-//! WAL-monotone epoch sequence.
+//! The λ store: per-customer Stage-3 shards under one global, WAL-monotone
+//! epoch sequence.
 //!
 //! λ-state shards by **customer**, not by full path, because Algorithm 1's
 //! signal propagation is confined to the signaling customer's subtree — so
@@ -10,21 +10,51 @@
 //! never observe so much as a pointer swap.
 //!
 //! Epoch numbering stays **global**: a central counter mints each epoch
-//! and the owning shard publishes at it via
-//! [`LambdaStore::publish_delta_at`]. The WAL and follower replication
-//! therefore still see strictly increasing epochs (shard-local epochs
-//! advance with gaps, which delta replay already tolerates), and with one
-//! shard the numbering degenerates bit-for-bit to the flat
-//! [`LambdaStore`]'s.
+//! and the owning shard publishes at it. The WAL and follower replication
+//! therefore see strictly increasing epochs (shard-local epochs advance
+//! with gaps, which delta replay tolerates), and with one shard every
+//! epoch lands in the single shard: `shards = 1` is the flat λ-table.
 
 use super::lambda::{LambdaSnapshot, LambdaStore};
 use super::{Personalizer, SatisfactionSignal};
-use lorentz_types::{LambdaDelta, LorentzError, ResourcePath, ShardRouter};
+use lorentz_types::{DeltaCorruption, LambdaDelta, LorentzError, ResourcePath, ShardRouter};
 use std::sync::Arc;
 
-/// N per-customer [`LambdaStore`] shards behind one multiply-fold router
-/// and one global epoch counter. See the module docs for the sharding and
-/// numbering contracts.
+/// N per-customer λ shards behind one multiply-fold router and one global
+/// epoch counter. See the module docs for the sharding and numbering
+/// contracts.
+///
+/// ```
+/// use lorentz_core::personalizer::{Personalizer, PersonalizerConfig, ShardedLambdaStore};
+/// use lorentz_core::SatisfactionSignal;
+/// use lorentz_types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
+///
+/// let store = ShardedLambdaStore::new(Personalizer::new(PersonalizerConfig::default())?, 1)?;
+/// let path = ResourcePath::new(CustomerId(1), SubscriptionId(1), ResourceGroupId(1));
+/// let before = store.snapshot_for(&path);
+///
+/// store.apply_signal(&SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, 1.0)?);
+/// let delta = store.publish_delta_for(&path);
+/// assert_eq!(delta.epoch, 2);
+/// assert_eq!(delta.entries.len(), 1); // only the touched key is republished
+///
+/// // The old epoch is immutable; a fresh one sees the new λ.
+/// assert_eq!(before.lambda(&path, ServerOffering::GeneralPurpose), 0.0);
+/// let after = store.snapshot_for(&path);
+/// assert!((after.lambda(&path, ServerOffering::GeneralPurpose) - 0.3).abs() < 1e-12);
+/// assert!(after.version() > before.version());
+///
+/// // A follower of any shard count replays the delta and converges
+/// // bit-exactly, at the leader's epoch.
+/// let follower = ShardedLambdaStore::new(Personalizer::new(PersonalizerConfig::default())?, 4)?;
+/// follower.apply_delta(&delta).unwrap();
+/// assert_eq!(follower.version(), store.version());
+/// assert_eq!(
+///     follower.snapshot_for(&path).lambda(&path, ServerOffering::GeneralPurpose),
+///     after.lambda(&path, ServerOffering::GeneralPurpose),
+/// );
+/// # Ok::<(), lorentz_types::LorentzError>(())
+/// ```
 #[derive(Debug)]
 pub struct ShardedLambdaStore {
     shards: Box<[LambdaStore]>,
@@ -37,31 +67,41 @@ pub struct ShardedLambdaStore {
 
 impl ShardedLambdaStore {
     /// Splits a personalizer's profiles across `shards` per-customer
-    /// shards. Each shard starts as epoch 1 of its slice (matching
-    /// [`LambdaStore::new`]); the global counter starts at 1.
+    /// shards. Each shard starts as epoch 1 of its slice; the global
+    /// counter starts at 1.
     ///
     /// # Errors
     /// [`LorentzError::InvalidConfig`] for a non-power-of-two shard count
     /// or an invalid personalizer config.
     pub fn new(personalizer: Personalizer, shards: usize) -> Result<Self, LorentzError> {
         let router = ShardRouter::new(shards)?;
-        let stores = if router.shards() == 1 {
-            vec![LambdaStore::new(personalizer)]
-        } else {
-            let mut slices = Vec::with_capacity(router.shards());
-            for _ in 0..router.shards() {
-                slices.push(Personalizer::new(*personalizer.config())?);
-            }
-            for (path, lambdas) in personalizer.iter_profiles() {
-                slices[router.route_customer(path.customer)].set_lambdas(path, lambdas);
-            }
-            slices.into_iter().map(LambdaStore::new).collect()
-        };
+        let stores = split(personalizer, &router)?
+            .into_iter()
+            .map(LambdaStore::new)
+            .collect();
         Ok(Self {
-            shards: stores.into_boxed_slice(),
+            shards: stores,
             router,
             epoch: parking_lot::Mutex::new(1),
         })
+    }
+
+    /// Discards every shard's λ-state and starts over from `personalizer`
+    /// at epoch 1, as [`ShardedLambdaStore::new`] would — in place, so
+    /// every holder of the store sees the reset. A follower does this on a
+    /// full resync.
+    ///
+    /// # Errors
+    /// [`LorentzError::InvalidConfig`] for an invalid personalizer config;
+    /// the store is then unchanged.
+    pub fn reset(&self, personalizer: Personalizer) -> Result<(), LorentzError> {
+        let slices = split(personalizer, &self.router)?;
+        let mut epoch = self.epoch.lock();
+        for (shard, slice) in self.shards.iter().zip(slices) {
+            shard.reset(slice);
+        }
+        *epoch = 1;
+        Ok(())
     }
 
     /// How many shards the customer space is split across.
@@ -97,8 +137,7 @@ impl ShardedLambdaStore {
             })
     }
 
-    /// The last minted (or restored) global epoch. With one shard this is
-    /// exactly the flat store's published epoch.
+    /// The last minted, applied or restored global epoch.
     pub fn version(&self) -> u64 {
         *self.epoch.lock()
     }
@@ -130,8 +169,7 @@ impl ShardedLambdaStore {
 
     /// Publishes every shard's pending changes, each at its own freshly
     /// minted global epoch, returning the last epoch minted. Used for
-    /// replay-style bulk publishes; with one shard this is exactly the
-    /// flat store's [`LambdaStore::publish`].
+    /// replay-style bulk publishes.
     pub fn publish(&self) -> u64 {
         let mut epoch = self.epoch.lock();
         for shard in &self.shards {
@@ -141,6 +179,41 @@ impl ShardedLambdaStore {
                 .expect("globally minted epochs advance every shard");
         }
         *epoch
+    }
+
+    /// Applies a replicated delta — the follower-side mirror of
+    /// [`ShardedLambdaStore::publish_delta_for`]: routes every entry to its
+    /// customer's shard, publishes each shard that received entries at
+    /// exactly `delta.epoch`, and adopts that epoch as the global one. A
+    /// follower's shard count need not match its leader's. Epochs must
+    /// advance but may skip numbers (a leader publishes epochs that never
+    /// reach the WAL, e.g. the post-replay epoch after a restart).
+    ///
+    /// # Errors
+    /// [`DeltaCorruption::EpochRegression`] if `delta.epoch` does not
+    /// advance the global epoch; the store is unchanged.
+    pub fn apply_delta(&self, delta: &LambdaDelta) -> Result<u64, DeltaCorruption> {
+        let mut epoch = self.epoch.lock();
+        if delta.epoch <= *epoch {
+            return Err(DeltaCorruption::EpochRegression {
+                current: *epoch,
+                got: delta.epoch,
+            });
+        }
+        for (index, shard) in self.shards.iter().enumerate() {
+            let mut owned = delta
+                .entries
+                .iter()
+                .filter(|(key, _)| self.router.route_customer(key.path().customer) == index)
+                .peekable();
+            if owned.peek().is_some() {
+                shard
+                    .apply_delta(delta.epoch, owned)
+                    .expect("the global epoch bounds every shard's");
+            }
+        }
+        *epoch = delta.epoch;
+        Ok(delta.epoch)
     }
 
     /// Fast-forwards the global counter and every shard's published epoch
@@ -159,11 +232,30 @@ impl ShardedLambdaStore {
     }
 }
 
+/// One personalizer per shard of `router`, each holding the profiles of
+/// the customers routed to it; one shard keeps `personalizer` whole.
+fn split(
+    personalizer: Personalizer,
+    router: &ShardRouter,
+) -> Result<Vec<Personalizer>, LorentzError> {
+    if router.shards() == 1 {
+        return Ok(vec![personalizer]);
+    }
+    let mut slices = Vec::with_capacity(router.shards());
+    for _ in 0..router.shards() {
+        slices.push(Personalizer::new(*personalizer.config())?);
+    }
+    for (path, lambdas) in personalizer.iter_profiles() {
+        slices[router.route_customer(path.customer)].set_lambdas(path, lambdas);
+    }
+    Ok(slices)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::personalizer::PersonalizerConfig;
-    use lorentz_types::{CustomerId, ResourceGroupId, ServerOffering, SubscriptionId};
+    use lorentz_types::{CustomerId, PathKey, ResourceGroupId, ServerOffering, SubscriptionId};
 
     fn path(customer: u32, sub: u32, rg: u32) -> ResourcePath {
         ResourcePath::new(
@@ -210,7 +302,9 @@ mod tests {
             let s = signal(p, 0.5);
             flat_store.apply_signal(&s);
             sharded.apply_signal(&s);
-            flat_store.publish();
+            flat_store
+                .publish_delta_at(flat_store.snapshot().version() + 1)
+                .unwrap();
             sharded.publish_delta_for(&p);
             assert_eq!(
                 flat_store
@@ -278,5 +372,61 @@ mod tests {
         assert_eq!(store.publish_delta_for(&p).epoch, 41);
         // Restoring backwards is a no-op.
         assert_eq!(store.restore_epoch(5), 41);
+    }
+
+    #[test]
+    fn apply_delta_routes_entries_to_their_customers_shards() {
+        let store = seeded(4);
+        let entries: Vec<_> = (0..8u32)
+            .map(|customer| (PathKey::new(path(customer, 0, 0)), [f64::from(customer); 3]))
+            .collect();
+        assert_eq!(store.apply_delta(&LambdaDelta::new(9, entries)), Ok(9));
+        assert_eq!(store.version(), 9);
+        for customer in 0..8u32 {
+            let p = path(customer, 0, 0);
+            let snapshot = store.snapshot_for(&p);
+            assert_eq!(snapshot.version(), 9, "the owning shard publishes at 9");
+            assert_eq!(
+                snapshot.lambda(&p, ServerOffering::Burstable),
+                f64::from(customer)
+            );
+        }
+        // A replayed or older epoch is refused and changes nothing.
+        let stale = LambdaDelta::new(9, vec![(PathKey::new(path(0, 0, 0)), [5.0; 3])]);
+        assert_eq!(
+            store.apply_delta(&stale),
+            Err(DeltaCorruption::EpochRegression { current: 9, got: 9 })
+        );
+        let p = path(0, 0, 0);
+        assert_eq!(
+            store.snapshot_for(&p).lambda(&p, ServerOffering::Burstable),
+            0.0
+        );
+    }
+
+    #[test]
+    fn reset_starts_over_in_place_at_epoch_one() {
+        let store = seeded(4);
+        let p = path(5, 0, 0);
+        store.apply_signal(&signal(p, 1.0));
+        store.publish_delta_for(&p);
+        store.restore_epoch(40);
+        let mut fresh = Personalizer::new(PersonalizerConfig::default()).unwrap();
+        fresh.register(path(6, 0, 0));
+        store.reset(fresh).unwrap();
+        assert_eq!(store.version(), 1);
+        for shard in 0..4 {
+            assert_eq!(store.snapshot_shard(shard).unwrap().version(), 1);
+        }
+        assert_eq!(
+            store
+                .snapshot_for(&p)
+                .lambda(&p, ServerOffering::GeneralPurpose),
+            0.0
+        );
+        assert_eq!(store.snapshot_for(&path(6, 0, 0)).len(), 1);
+        // The next leader epoch applies on top of the reset state.
+        let delta = LambdaDelta::new(2, vec![(PathKey::new(p), [0.5; 3])]);
+        assert_eq!(store.apply_delta(&delta), Ok(2));
     }
 }

@@ -786,24 +786,58 @@ mod tests {
         }
     }
 
+    /// A per-test temp dir, removed with everything in it on drop;
+    /// derefs to the `signals.wal` path inside it.
+    struct TempLog {
+        dir: PathBuf,
+        path: PathBuf,
+    }
+
+    impl TempLog {
+        fn new(name: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("lorentz-wal-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("signals.wal");
+            Self { dir, path }
+        }
+    }
+
+    impl std::ops::Deref for TempLog {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for TempLog {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl Drop for TempLog {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
     /// Shared fixture: a fresh per-test temp dir holding `signals.wal`,
     /// opened with the recovery asserted empty/clean. Every test reopens
     /// through [`reopen`] to avoid repeating the unwrap chain.
-    fn fresh_wal(name: &str) -> (PathBuf, SignalWal) {
+    fn fresh_wal(name: &str) -> (TempLog, SignalWal) {
         faulted_wal(name, FaultyIo::new(RealIo))
     }
 
     /// [`fresh_wal`] appending through `io`, whose faults only this log
     /// sees.
-    fn faulted_wal(name: &str, io: FaultyIo) -> (PathBuf, SignalWal) {
-        let dir = std::env::temp_dir().join(format!("lorentz-wal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("signals.wal");
-        let (wal, recovery) = SignalWal::open_with(&path, Box::new(io)).unwrap();
+    fn faulted_wal(name: &str, io: FaultyIo) -> (TempLog, SignalWal) {
+        let log = TempLog::new(name);
+        let (wal, recovery) = SignalWal::open_with(&log, Box::new(io)).unwrap();
         assert!(recovery.signals.is_empty());
         assert_eq!(recovery.torn_tail_bytes, 0);
-        (path, wal)
+        (log, wal)
     }
 
     /// Reopens an existing log, returning the handle and its recovery.
@@ -1094,11 +1128,9 @@ mod tests {
 
     #[test]
     fn missing_file_verify_is_an_io_error() {
-        let dir = std::env::temp_dir().join(format!("lorentz-wal-miss-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let log = TempLog::new("miss");
         assert!(matches!(
-            SignalWal::verify(dir.join("absent.wal")),
+            SignalWal::verify(&log),
             Err(StoreError::Io { .. })
         ));
     }

@@ -746,7 +746,7 @@ mod tests {
 
     #[test]
     fn lambda_snapshot_overrides_batch_personalizer() {
-        use crate::personalizer::LambdaStore;
+        use crate::personalizer::ShardedLambdaStore;
         let t = trained();
         let p = path(1);
         let req = RecommendRequest {
@@ -757,13 +757,13 @@ mod tests {
 
         // Feedback flows into a live λ store seeded from the deployment;
         // the deployment's own personalizer stays frozen.
-        let store = LambdaStore::new(t.personalizer().clone());
+        let store = ShardedLambdaStore::new(t.personalizer().clone(), 1).unwrap();
         let sig = SatisfactionSignal::new(p, ServerOffering::GeneralPurpose, 1.0).unwrap();
         for _ in 0..5 {
             store.apply_signal(&sig);
         }
         store.publish();
-        let snap = store.snapshot();
+        let snap = store.snapshot_for(&p);
 
         let frozen = t.recommend(&req, ModelKind::Hierarchical).unwrap();
         assert_eq!(frozen.lambda, 0.0);

@@ -35,7 +35,6 @@ pub mod metrics;
 pub mod split;
 pub mod transform;
 pub mod tree;
-pub mod validate;
 
 pub use binning::Binner;
 pub use dataset::Dataset;
@@ -45,4 +44,3 @@ pub use gbdt::{GradientBoosting, GradientBoostingConfig};
 pub use linear::{RidgeConfig, RidgeRegression};
 pub use split::{three_way_split, SplitIndices};
 pub use tree::{DecisionTree, TreeConfig};
-pub use validate::{fit_with_early_stopping, k_fold_cv, CvScores, EarlyStopResult};

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,10 @@ enum FeedbackMsg {
     /// Barrier: acknowledged only after every earlier signal on the
     /// channel has been applied and published.
     Flush(Sender<()>),
+    /// Start appending to this WAL: a promoted standby hands over its
+    /// replica log ahead of the first signal it admits. Boxed, so the
+    /// per-signal message stays the size it is on a leader.
+    Wal(Box<SignalWal>),
 }
 
 /// Mutex-guarded engine state: the bounded queue, the intake flag, the
@@ -48,6 +52,11 @@ struct State {
     /// Feedback intake: present while the engine accepts signals, taken
     /// (and thereby closed) by shutdown so the λ-writer drains and exits.
     feedback_tx: Option<Sender<FeedbackMsg>>,
+    /// The standby role: the λ-state advances only by the leader's
+    /// replicated deltas and feedback is refused as
+    /// [`ServeError::Draining`], until [`ServingEngine::promote`] makes
+    /// this engine the leader.
+    following: bool,
     stats: EngineStats,
 }
 
@@ -91,8 +100,9 @@ struct Shared {
     /// follower outboxes. Present (but idle) even without a WAL.
     replication: Arc<ReplicationHub>,
     /// The WAL path, kept so the replication listener can replay it for
-    /// resuming followers. `None` for engines without durability.
-    wal_path: Option<PathBuf>,
+    /// resuming followers. Set at start, or at promotion for a standby;
+    /// unset for engines without durability.
+    wal_path: OnceLock<PathBuf>,
 }
 
 /// How a worker's main loop ended.
@@ -133,7 +143,7 @@ impl ServingEngine {
         deployment: Arc<TrainedLorentz>,
         config: ServeConfig,
     ) -> Result<(Self, Receiver<ServeResponse>), EngineError> {
-        Self::start_inner(deployment, config, None, None)
+        Self::start_inner(deployment, config, None, false)
     }
 
     /// Like [`ServingEngine::start`], but with feedback durability: every
@@ -152,39 +162,28 @@ impl ServingEngine {
         wal_path: impl AsRef<Path>,
     ) -> Result<(Self, Receiver<ServeResponse>), EngineError> {
         let (wal, recovery) = SignalWal::open(wal_path)?;
-        Self::start_inner(deployment, config, Some((wal, recovery)), None)
+        Self::start_inner(deployment, config, Some((wal, recovery)), false)
     }
 
-    /// Like [`ServingEngine::start_with_wal`], but for a standby taking
-    /// over leadership: a fresh leader term is minted strictly above both
-    /// the highest term recovered from the WAL and `observed_term` (the
-    /// highest term the promoting follower saw on the wire), and appended
-    /// to the WAL as a term marker before any feedback is accepted. Every
-    /// replication handshake then carries the new term, which is what
-    /// fences the old leader when the partition heals.
-    ///
-    /// # Errors
-    /// As [`ServingEngine::start_with_wal`].
-    pub fn start_promoted(
+    /// Starts a standby's engine in the following role: seeded like
+    /// [`ServingEngine::start`], but its λ-state advances only through
+    /// [`ShardedLambdaStore::apply_delta`] and it refuses feedback until
+    /// [`ServingEngine::promote`]. It holds no term of its own; its
+    /// [`ServingEngine::leader_term`] is the highest term its leader's
+    /// stream carried. No caller submits to it, so its response channel
+    /// is dropped.
+    pub(crate) fn start_following(
         deployment: Arc<TrainedLorentz>,
         config: ServeConfig,
-        wal_path: impl AsRef<Path>,
-        observed_term: u64,
-    ) -> Result<(Self, Receiver<ServeResponse>), EngineError> {
-        let (wal, recovery) = SignalWal::open(wal_path)?;
-        Self::start_inner(
-            deployment,
-            config,
-            Some((wal, recovery)),
-            Some(observed_term),
-        )
+    ) -> Result<Self, EngineError> {
+        Self::start_inner(deployment, config, None, true).map(|(engine, _)| engine)
     }
 
     fn start_inner(
         deployment: Arc<TrainedLorentz>,
         config: ServeConfig,
         wal: Option<(SignalWal, WalRecovery)>,
-        promotion: Option<u64>,
+        following: bool,
     ) -> Result<(Self, Receiver<ServeResponse>), EngineError> {
         let (tx, rx) = channel();
         let (feedback_tx, feedback_rx) = channel();
@@ -211,14 +210,11 @@ impl ServingEngine {
         // Term lifecycle: a fresh lineage mints term 1; a same-lineage
         // restart resumes the recovered term *unchanged* (re-minting would
         // collide with a standby that promoted to recovered+1 while this
-        // node was down — only promotions may raise the term); a promotion
-        // mints strictly above everything recovered or observed. Minted
-        // terms are made durable as a WAL marker before the λ-writer (and
-        // therefore any feedback append) starts.
-        let term = match promotion {
-            Some(observed) => last_term.max(observed) + 1,
-            None => last_term.max(1),
-        };
+        // node was down — only promotions may raise the term); a standby
+        // holds none until it promotes. A minted term is made durable as a
+        // WAL marker before the λ-writer (and therefore any feedback
+        // append) starts.
+        let term = if following { 0 } else { last_term.max(1) };
         if term != last_term {
             if let Some(wal) = wal.as_mut() {
                 wal.append_term(term).map_err(EngineError::Wal)?;
@@ -227,7 +223,10 @@ impl ServingEngine {
         let replication = Arc::new(ReplicationHub::new());
         replication.set_last_epoch(last_epoch);
         replication.set_term(term);
-        let wal_path = wal.as_ref().map(|w| w.path().to_path_buf());
+        let wal_path = OnceLock::new();
+        if let Some(wal) = &wal {
+            let _ = wal_path.set(wal.path().to_path_buf());
+        }
         let shared = Arc::new(Shared {
             store: ShardedPredictionStore::from_store(deployment.store(), config.shards)
                 .map_err(EngineError::Config)?,
@@ -238,6 +237,7 @@ impl ServingEngine {
                 queue: VecDeque::new(),
                 intake_open: true,
                 feedback_tx: Some(feedback_tx),
+                following,
                 stats: EngineStats::default(),
             }),
             work: Condvar::new(),
@@ -376,7 +376,9 @@ impl ServingEngine {
     /// # Errors
     /// [`ServeError::Fenced`] once a higher-term leader has been observed
     /// (accepting the signal would fork the WAL lineage);
-    /// [`ServeError::Draining`] after [`ServingEngine::drain`] has begun.
+    /// [`ServeError::Draining`] after [`ServingEngine::drain`] has begun,
+    /// and on a standby that has not promoted (only the leader mints λ
+    /// epochs).
     pub fn submit_feedback(&self, signal: SatisfactionSignal) -> Result<(), ServeError> {
         if let Some(observed) = self.shared.replication.fenced_by() {
             obs::ENGINE_REPLICATION_FENCED.inc();
@@ -386,7 +388,8 @@ impl ServingEngine {
             });
         }
         let mut state = self.shared.state.lock().expect("engine state poisoned");
-        let Some(tx) = state.feedback_tx.as_ref().filter(|_| state.intake_open) else {
+        let open = state.intake_open && !state.following;
+        let Some(tx) = state.feedback_tx.as_ref().filter(|_| open) else {
             return Err(ServeError::Draining);
         };
         // The send cannot fail while we hold the state lock: the λ-writer
@@ -446,8 +449,9 @@ impl ServingEngine {
         self.shared.lambdas.version()
     }
 
-    /// The leader term this engine serves under (minted or resumed at
-    /// start; see [`ServingEngine::start_promoted`]).
+    /// The leader term this engine serves under: minted or resumed at
+    /// start, or minted by a standby's promotion. A standby that has not
+    /// promoted reports the highest term its leader's stream carried.
     pub fn leader_term(&self) -> u64 {
         self.shared.replication.term()
     }
@@ -471,7 +475,53 @@ impl ServingEngine {
 
     /// The WAL path the engine appends to, when durability is configured.
     pub(crate) fn wal_path(&self) -> Option<PathBuf> {
-        self.shared.wal_path.clone()
+        self.shared.wal_path.get().cloned()
+    }
+
+    /// The live λ store, which a standby advances with its leader's
+    /// deltas.
+    pub(crate) fn lambdas(&self) -> &ShardedLambdaStore {
+        &self.shared.lambdas
+    }
+
+    /// Resets a standby's λ-state in place to the deployment's batch λ at
+    /// epoch 1, for a full resync.
+    pub(crate) fn reset_lambdas(&self) -> Result<(), EngineError> {
+        let personalizer = self.shared.deployment.personalizer().clone();
+        self.shared
+            .lambdas
+            .reset(personalizer)
+            .map_err(EngineError::Config)
+    }
+
+    /// Makes a following engine the leader of its lineage, on the λ it
+    /// already serves: opens the replica WAL at `wal_path` (every frame
+    /// the standby applied, persisted before it was applied), mints a term
+    /// strictly above every term recovered from it and `observed_term`,
+    /// makes that term durable as a WAL marker, hands the WAL to the
+    /// running λ-writer and opens feedback intake. The WAL's signals are
+    /// not re-run: the λ-state already is the delta chain they produced,
+    /// so readers never see a reset λ. Returns the new term.
+    ///
+    /// # Errors
+    /// [`EngineError::Wal`] when the WAL cannot be opened or the marker
+    /// appended; the engine then keeps following.
+    pub(crate) fn promote(&self, wal_path: &Path, observed_term: u64) -> Result<u64, EngineError> {
+        let (mut wal, recovery) = SignalWal::open(wal_path)?;
+        let term = recovery.last_term.max(observed_term) + 1;
+        wal.append_term(term)?;
+        let shared = &self.shared;
+        shared.lambdas.restore_epoch(recovery.last_epoch);
+        shared.replication.set_last_epoch(recovery.last_epoch);
+        shared.replication.set_term(term);
+        let _ = shared.wal_path.set(wal.path().to_path_buf());
+        let mut state = shared.state.lock().expect("engine state poisoned");
+        // Queued ahead of every signal the opened intake admits.
+        if let Some(tx) = &state.feedback_tx {
+            let _ = tx.send(FeedbackMsg::Wal(Box::new(wal)));
+        }
+        state.following = false;
+        Ok(term)
     }
 
     /// Atomically re-publishes the degraded-path store with zero reader
@@ -745,6 +795,7 @@ fn feedback_loop(shared: &Shared, rx: &Receiver<FeedbackMsg>, mut wal: Option<Si
                 // did its job by ordering behind earlier signals.
                 let _ = ack.send(());
             }
+            FeedbackMsg::Wal(promoted) => wal = Some(*promoted),
         }
     }
 }

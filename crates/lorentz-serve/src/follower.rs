@@ -1,19 +1,23 @@
-//! The replication follower: TCP-fed read replica, with promotion.
+//! The replication follower: a standby [`ServingEngine`] fed over TCP,
+//! with promotion.
 //!
-//! A leader running [`ServingEngine::start_with_wal`](crate::ServingEngine)
-//! frames every accepted satisfaction signal together with the
-//! epoch-stamped λ delta it published. [`FollowerEngine`] consumes that
-//! stream through a [`ReplicationSource`] — in deployment a [`TcpSource`]
-//! subscribed to the leader's replication listener (over loopback for a
-//! standby on the leader's machine) — and applies the deltas to its own
-//! [`LambdaStore`]: no propagation re-run, no full-table transfer, so the
-//! replica converges to the leader's published λ bit-for-bit.
+//! A leader running [`ServingEngine::start_with_wal`] frames every
+//! accepted satisfaction signal together with the epoch-stamped λ delta it
+//! published. [`FollowerEngine`] consumes that stream through a
+//! [`ReplicationSource`] — in deployment a [`TcpSource`] subscribed to the
+//! leader's replication listener (over loopback for a standby on the
+//! leader's machine) — and applies the deltas to the
+//! [`ShardedLambdaStore`](lorentz_core::ShardedLambdaStore) of its own
+//! [`ServingEngine`], whatever its shard count: no propagation re-run, no
+//! full-table transfer, so the replica converges to the leader's
+//! published λ bit-for-bit. Reads go through that engine's
+//! [`ServingEngine::answer`], ledger and panic boundary included.
 //!
-//! While following, the replica is **read-only by construction**: only
-//! the leader mints epochs; the follower replays them. Startup is
-//! catch-up-then-serve: the constructors drain the source to its current
-//! end before returning, so the first recommendation already reflects
-//! every durable signal.
+//! While following, the engine is **read-only by construction**: only the
+//! leader mints epochs; the follower replays them, and feedback is refused
+//! with [`ServeError::Draining`]. Startup is catch-up-then-serve: the
+//! constructors drain the source to its current end before returning, so
+//! the first recommendation already reflects every durable signal.
 //!
 //! A follower configured with [`FollowerConfig::local_wal`] persists each
 //! received frame verbatim (the frames are byte-identical to the leader's
@@ -21,20 +25,23 @@
 //! its local log and resumes the subscription *from its last epoch*
 //! instead of re-reading the leader's entire WAL. A leader that has
 //! compacted past that epoch answers the handshake with full-resync; the
-//! follower then truncates its local log, resets its λ-state, and applies
-//! the fresh stream. A local WAL that cannot be written is fail-stop: the
-//! follower applies nothing more and halts ([`ReplicaState::Halted`]),
-//! still serving the last epoch that is both applied and persisted.
+//! follower then truncates its local log, resets its λ-state in place,
+//! and applies the fresh stream. A local WAL that cannot be written is
+//! fail-stop: the follower applies nothing more and halts
+//! ([`ReplicaState::Halted`]), still serving the last epoch that is both
+//! applied and persisted.
 //!
-//! **Promotion**: with [`FollowerConfig::promote`] set, a follower that
-//! loses its leader for longer than
-//! [`PromoteConfig::detection_timeout`] promotes itself — it finishes
-//! applying whatever was buffered, opens its local WAL as a real
-//! [`ServingEngine`](crate::ServingEngine) (replaying it, so the promoted
-//! λ equals the replicated λ), starts its own replication listener, and
-//! flips to [`ReplicaState::Leader`]: recommendations keep flowing and
-//! [`FollowerEngine::submit_feedback`] starts accepting. When several
-//! standbys race, the OS arbitrates exactly-once promotion through
+//! **Promotion**: with [`FollowerConfig::promote`] set (which requires a
+//! local WAL), a follower that loses its leader for longer than
+//! [`PromoteConfig::detection_timeout`] promotes itself. Promotion is a
+//! role change of the one engine, not a second engine: it reopens the
+//! local WAL, mints a term, hands the WAL to the running λ-writer and
+//! opens feedback. It does not re-run the WAL's signals — the λ already is
+//! the delta chain persisted frame by frame — so readers never see a
+//! reset λ. The promoted engine starts its own replication listener and
+//! the replica flips to [`ReplicaState::Leader`]: recommendations keep
+//! flowing and [`FollowerEngine::submit_feedback`] starts accepting. When
+//! several standbys race, the OS arbitrates exactly-once promotion through
 //! [`PromoteConfig::listen`]: binding the address is the election, and
 //! the losers re-subscribe to the winner as their new upstream.
 //!
@@ -43,100 +50,70 @@
 //! cluster can tell the real leader from the zombie. A replica whose
 //! subscription is refused with `stale_leader` treats its upstream as
 //! lost (the upstream is the zombie — the replica promotes past it or
-//! finds the winner); a *promoted* replica whose own engine gets fenced
-//! (a higher-term subscriber reached its listener) demotes itself: the
-//! tail thread — which stays alive after promotion precisely as this
-//! watchdog — flips the state to [`ReplicaState::Demoted`], shuts the
-//! listener down, and feedback is refused with
-//! [`ServeError::Fenced`](crate::ServeError) while reads keep working.
+//! finds the winner); a *promoted* replica whose engine gets fenced (a
+//! higher-term subscriber reached its listener) demotes itself: the tail
+//! thread — which stays alive after promotion precisely as this watchdog —
+//! flips the state to [`ReplicaState::Demoted`] and shuts the listener
+//! down, while the engine keeps serving reads and refuses feedback with
+//! [`ServeError::Fenced`].
 
 use crate::engine::ServingEngine;
 use crate::replication::{
     serve_replication, ReplicationConfig, ReplicationError, ReplicationListener, ReplicationSource,
     SourcePoll, SourcedEntry, TcpSource,
 };
-use crate::types::{EngineError, ServeConfig, ServeError, ServeRequest, ServeResponse};
+use crate::types::{EngineError, ServeConfig, ServeError};
 use lorentz_core::obs;
-use lorentz_core::personalizer::{wal, LambdaSnapshot, LambdaStore, PollBackoff, WalEntry};
-use lorentz_core::{
-    ModelKind, RecommendEngine, RecommendRequest, Recommendation, SatisfactionSignal, SignalWal,
-    StoreError, TrainedLorentz,
-};
-use lorentz_types::{DeltaCorruption, HandshakeRejection};
+use lorentz_core::personalizer::{wal, PollBackoff, WalEntry};
+use lorentz_core::{SatisfactionSignal, SignalWal, StoreError, TrainedLorentz};
+use lorentz_types::{DeltaCorruption, HandshakeRejection, LorentzError};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Base sleep between polls once the stream is drained; consecutive idle
+/// polls back off exponentially up to [`PollBackoff::DEFAULT_CAP`].
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// What a follower does when its leader stops answering.
 #[derive(Debug, Clone)]
 pub struct PromoteConfig {
-    /// The WAL the promoted leader opens and replays — normally the same
-    /// path as [`FollowerConfig::local_wal`], which holds every frame the
-    /// follower durably replicated.
-    pub wal_path: PathBuf,
     /// Replication listen address (`host:port`) the promoted leader
     /// binds. Binding doubles as the election: when several standbys race,
     /// exactly one bind succeeds (`AddrInUse` means "lost; re-subscribe
     /// to the winner here"). `None` promotes unconditionally without a
     /// listener — single-standby deployments only.
     pub listen: Option<String>,
-    /// Engine configuration for the promoted leader.
-    pub serve: ServeConfig,
-    /// Listener tuning for the promoted leader's own followers.
-    pub replication: ReplicationConfig,
     /// How long the leader must stay unreachable before promotion starts.
     pub detection_timeout: Duration,
 }
 
-impl PromoteConfig {
-    /// Promotion over `wal_path` with defaults: no listener, default
-    /// engine config, one-second detection timeout.
-    pub fn new(wal_path: impl Into<PathBuf>) -> Self {
+impl Default for PromoteConfig {
+    /// No listener, one-second detection timeout.
+    fn default() -> Self {
         Self {
-            wal_path: wal_path.into(),
             listen: None,
-            serve: ServeConfig::default(),
-            replication: ReplicationConfig::default(),
             detection_timeout: Duration::from_secs(1),
         }
     }
 }
 
-/// How the follower tails its leader.
-#[derive(Debug, Clone)]
+/// How the follower serves and tails its leader.
+#[derive(Debug, Clone, Default)]
 pub struct FollowerConfig {
-    /// Base sleep between polls once the stream is drained; consecutive
-    /// idle polls back off exponentially up to `idle_backoff_cap`.
-    pub poll_interval: Duration,
-    /// Ceiling for the idle backoff.
-    pub idle_backoff_cap: Duration,
-    /// The live Stage-2 model recommendations are served with.
-    pub kind: ModelKind,
+    /// The standby's engine — model kind, shard count, deadlines — which
+    /// it keeps as a promoted leader.
+    pub serve: ServeConfig,
     /// Where the follower persists received frames (byte-identical to
     /// the leader's log) before applying them, enabling resume-from-epoch
-    /// after a restart and WAL replay on promotion.
+    /// after a restart; a promoted standby leads on this log.
     pub local_wal: Option<PathBuf>,
-    /// Self-promotion on leader loss; `None` (the default) keeps the
-    /// replica a follower forever.
+    /// Self-promotion on leader loss (requires `local_wal`); `None` (the
+    /// default) keeps the replica a follower forever.
     pub promote: Option<PromoteConfig>,
-}
-
-impl Default for FollowerConfig {
-    /// 20 ms base poll backing off to ~200 ms, hierarchical live model,
-    /// no local WAL, no promotion.
-    fn default() -> Self {
-        Self {
-            poll_interval: Duration::from_millis(20),
-            idle_backoff_cap: PollBackoff::DEFAULT_CAP,
-            kind: ModelKind::Hierarchical,
-            local_wal: None,
-            promote: None,
-        }
-    }
 }
 
 /// The follower's replication ledger.
@@ -177,8 +154,8 @@ pub enum ReplicaState {
     /// Promoted, then superseded: a leader at a strictly higher term was
     /// observed and this replica fenced itself. Reads keep answering from
     /// the λ-state at the moment of demotion; feedback is refused with
-    /// [`ServeError::Fenced`](crate::ServeError); the local WAL is frozen
-    /// (no divergence past the fence point).
+    /// [`ServeError::Fenced`]; the local WAL is frozen (no divergence past
+    /// the fence point).
     Demoted {
         /// The term this replica held as a leader.
         term: u64,
@@ -187,36 +164,21 @@ pub enum ReplicaState {
     },
 }
 
-/// The promoted leader's moving parts, swapped in by the tail thread.
-struct PromotedLeader {
-    engine: ServingEngine,
-    /// The promoted engine's response channel. The follower serves
-    /// recommendations synchronously off the engine's λ-state, so worker
-    /// responses are not routed; the receiver is kept so sends never
-    /// error.
-    _responses: Receiver<ServeResponse>,
-    /// The promoted leader's own replication listener, when it bound one.
-    listener: Option<ReplicationListener>,
-}
-
 /// State shared between the tail thread and the serving side.
 struct FollowerShared {
-    deployment: Arc<TrainedLorentz>,
-    /// The replicated λ-state. Behind an `RwLock` only for full resync,
-    /// which swaps in a fresh store; applies and reads go through the
-    /// store's own interior mutability under the read lock.
-    lambdas: RwLock<LambdaStore>,
+    /// The one engine the standby serves from, following and promoted.
+    engine: ServingEngine,
     config: FollowerConfig,
     stop: AtomicBool,
     stats: Mutex<FollowerStats>,
     state: Mutex<ReplicaState>,
-    promoted: Mutex<Option<PromotedLeader>>,
 }
 
 /// A read replica that follows a leader's λ-WAL over TCP and serves
-/// recommendations from the replicated epochs;
-/// optionally promotes itself to a serving leader when the leader dies.
-/// See the module docs for the replication and promotion contracts.
+/// recommendations from the replicated epochs through its own
+/// [`ServingEngine`]; optionally promotes that engine to the leader when
+/// the leader dies. See the module docs for the replication and promotion
+/// contracts.
 pub struct FollowerEngine {
     shared: Arc<FollowerShared>,
     tailer: Mutex<Option<JoinHandle<()>>>,
@@ -234,14 +196,15 @@ impl FollowerEngine {
     /// [`EngineError::Replication`] when the connect or handshake fails
     /// (including the typed `follower_ahead` rejection);
     /// [`EngineError::Wal`] when the local WAL cannot be opened, read or
-    /// appended to during catch-up; [`EngineError::SpawnFailed`] when the
-    /// OS refuses the tail thread.
+    /// appended to during catch-up; [`EngineError::Config`] for an invalid
+    /// engine configuration or promotion without a local WAL;
+    /// [`EngineError::SpawnFailed`] when the OS refuses a thread.
     pub fn start_tcp(
         deployment: Arc<TrainedLorentz>,
         addr: &str,
         config: FollowerConfig,
     ) -> Result<Self, EngineError> {
-        let shared = Self::make_shared(deployment, config);
+        let shared = Self::make_shared(deployment, config)?;
         let local_wal = open_local_wal(&shared)?;
         if let Some(path) = &shared.config.local_wal {
             // Opening truncated a torn tail from a crashed run, so this
@@ -272,28 +235,34 @@ impl FollowerEngine {
     /// [`EngineError::Replication`] when the source rejects the
     /// subscription during catch-up; [`EngineError::Wal`] when the local
     /// WAL cannot be opened or written during catch-up;
-    /// [`EngineError::SpawnFailed`] when the OS refuses the tail thread.
+    /// [`EngineError::Config`] and [`EngineError::SpawnFailed`] as for
+    /// [`FollowerEngine::start_tcp`].
     pub fn start_with_source(
         deployment: Arc<TrainedLorentz>,
         source: Box<dyn ReplicationSource>,
         config: FollowerConfig,
     ) -> Result<Self, EngineError> {
-        let shared = Self::make_shared(deployment, config);
+        let shared = Self::make_shared(deployment, config)?;
         let local_wal = open_local_wal(&shared)?;
         Self::finish_start(shared, source, local_wal)
     }
 
-    fn make_shared(deployment: Arc<TrainedLorentz>, config: FollowerConfig) -> Arc<FollowerShared> {
-        let lambdas = RwLock::new(LambdaStore::new(deployment.personalizer().clone()));
-        Arc::new(FollowerShared {
-            deployment,
-            lambdas,
+    fn make_shared(
+        deployment: Arc<TrainedLorentz>,
+        config: FollowerConfig,
+    ) -> Result<Arc<FollowerShared>, EngineError> {
+        if config.promote.is_some() && config.local_wal.is_none() {
+            return Err(EngineError::Config(LorentzError::InvalidConfig(
+                "promotion requires a local WAL: the promoted leader leads on it".to_owned(),
+            )));
+        }
+        Ok(Arc::new(FollowerShared {
+            engine: ServingEngine::start_following(deployment, config.serve)?,
             config,
             stop: AtomicBool::new(false),
             stats: Mutex::new(FollowerStats::default()),
             state: Mutex::new(ReplicaState::Following),
-            promoted: Mutex::new(None),
-        })
+        }))
     }
 
     /// Catch-up-then-serve: drain the source to its current end, then tail
@@ -333,56 +302,26 @@ impl FollowerEngine {
         })
     }
 
-    /// Serves one recommendation from the replicated state (or, after
-    /// promotion, from the promoted leader's live λ), pinning one λ epoch
-    /// for the whole request — a delta applied mid-serve changes later
-    /// requests, never this one.
-    ///
-    /// # Errors
-    /// [`ServeError::Recommend`] when the underlying recommendation fails
-    /// (unknown offering, malformed profile, ...).
-    pub fn recommend_one(&self, request: &ServeRequest) -> Result<Recommendation, ServeError> {
-        let borrowed = RecommendRequest {
-            profile: request.profile.iter().map(|v| v.as_deref()).collect(),
-            offering: request.offering,
-            path: request.path,
-        };
-        let lambdas = self.lambda_snapshot_for_path(&request.path);
-        self.shared
-            .deployment
-            .live_engine_with_lambdas(self.shared.config.kind, &lambdas)
-            .recommend_one(&borrowed)
-            .map_err(ServeError::Recommend)
+    /// The standby's serving engine: answer reads with
+    /// [`ServingEngine::answer`], read its ledger, λ epochs, shard count
+    /// and term. It is the same engine before and after promotion.
+    pub fn engine(&self) -> &ServingEngine {
+        &self.shared.engine
     }
 
-    /// Offers one satisfaction signal. A follower is read-only — only the
-    /// leader mints λ epochs — so this is rejected with
-    /// [`ServeError::Draining`] until promotion; a promoted replica
-    /// accepts, applies, and durably logs the signal like any leader
-    /// (blocking until the λ publish lands, so the caller reads its own
-    /// write).
+    /// Offers one satisfaction signal to the engine and, when it is
+    /// accepted, waits until its λ publish lands, so the caller reads its
+    /// own write. Only a promoted replica accepts: only the leader mints λ
+    /// epochs.
     ///
     /// # Errors
     /// [`ServeError::Draining`] while the replica is (still) a follower;
     /// [`ServeError::Fenced`] after it was promoted and then superseded by
     /// a higher-term leader.
     pub fn submit_feedback(&self, signal: SatisfactionSignal) -> Result<(), ServeError> {
-        if let ReplicaState::Demoted { term, observed } = self.state() {
-            return Err(ServeError::Fenced { term, observed });
-        }
-        let promoted = self
-            .shared
-            .promoted
-            .lock()
-            .expect("promoted leader poisoned");
-        match promoted.as_ref() {
-            Some(leader) => {
-                leader.engine.submit_feedback(signal)?;
-                leader.engine.flush_feedback();
-                Ok(())
-            }
-            None => Err(ServeError::Draining),
-        }
+        self.shared.engine.submit_feedback(signal)?;
+        self.shared.engine.flush_feedback();
+        Ok(())
     }
 
     /// Whether this replica has promoted itself to a serving leader.
@@ -399,89 +338,15 @@ impl FollowerEngine {
             .clone()
     }
 
-    /// The λ snapshot covering `path` — the replicated store's while
-    /// following, the promoted engine's after promotion.
-    fn lambda_snapshot_for_path(&self, path: &lorentz_types::ResourcePath) -> Arc<LambdaSnapshot> {
-        let promoted = self
-            .shared
-            .promoted
-            .lock()
-            .expect("promoted leader poisoned");
-        match promoted.as_ref() {
-            Some(leader) => leader.engine.lambda_snapshot_for(path),
-            None => self
-                .shared
-                .lambdas
-                .read()
-                .expect("follower lambdas poisoned")
-                .snapshot(),
-        }
-    }
-
-    /// The currently replicated λ epoch — a cheap `Arc` clone. After
-    /// promotion this keeps answering from the promoted engine's shard 0.
-    pub fn lambda_snapshot(&self) -> Arc<LambdaSnapshot> {
-        let promoted = self
-            .shared
-            .promoted
-            .lock()
-            .expect("promoted leader poisoned");
-        match promoted.as_ref() {
-            Some(leader) => leader.engine.lambda_snapshot(),
-            None => self
-                .shared
-                .lambdas
-                .read()
-                .expect("follower lambdas poisoned")
-                .snapshot(),
-        }
-    }
-
-    /// The currently replicated (or, after promotion, served) λ epoch
-    /// number.
-    pub fn lambda_version(&self) -> u64 {
-        let promoted = self
-            .shared
-            .promoted
-            .lock()
-            .expect("promoted leader poisoned");
-        match promoted.as_ref() {
-            Some(leader) => leader.engine.lambda_version(),
-            None => self
-                .shared
-                .lambdas
-                .read()
-                .expect("follower lambdas poisoned")
-                .version(),
-        }
-    }
-
     /// A point-in-time copy of the replication ledger.
     pub fn stats(&self) -> FollowerStats {
         *self.shared.stats.lock().expect("follower stats poisoned")
     }
 
-    /// The leader term this replica is operating under: the promoted
-    /// engine's own term after promotion, otherwise the highest term seen
-    /// in the replicated stream.
-    pub fn leader_term(&self) -> u64 {
-        let promoted = self
-            .shared
-            .promoted
-            .lock()
-            .expect("promoted leader poisoned");
-        match promoted.as_ref() {
-            Some(leader) => leader.engine.leader_term(),
-            None => {
-                drop(promoted);
-                self.stats().leader_term
-            }
-        }
-    }
-
-    /// Stops tailing (and, after promotion, drains the promoted engine),
-    /// returning the final replication ledger. Idempotent with [`Drop`];
-    /// records appended after this are not applied.
+    /// Stops tailing (and any promoted listener), returning the final
+    /// replication ledger; the engine drains when the follower drops.
+    /// Idempotent with [`Drop`]; records appended after this are not
+    /// applied.
     pub fn stop(self) -> FollowerStats {
         self.shutdown();
         self.stats()
@@ -497,24 +362,12 @@ impl FollowerEngine {
         {
             let _ = handle.join();
         }
-        // Tear down the promoted leader after the tail thread is gone
-        // (it can no longer install a new one).
-        if let Some(leader) = self
-            .shared
-            .promoted
-            .lock()
-            .expect("promoted leader poisoned")
-            .take()
-        {
-            drop(leader.listener);
-            drop(leader.engine); // drop = drain
-        }
     }
 }
 
 impl Drop for FollowerEngine {
-    /// Dropping the follower stops the tailer thread (and any promoted
-    /// engine).
+    /// Dropping the follower stops the tail thread; the engine drains with
+    /// the last reference to it.
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -522,8 +375,9 @@ impl Drop for FollowerEngine {
 
 /// How one promotion attempt ended.
 enum PromotionOutcome {
-    /// This replica is the new leader.
-    Promoted,
+    /// This replica is the new leader, with its replication listener when
+    /// it bound one.
+    Promoted(Option<ReplicationListener>),
     /// Another replica bound the promotion address first; re-subscribe to
     /// it at the returned address.
     LostRace(String),
@@ -554,11 +408,8 @@ fn tail_loop(
     mut source: Box<dyn ReplicationSource>,
     mut local_wal: Option<ReplicaWal>,
 ) {
-    let mut backoff = PollBackoff::with_jitter(
-        shared.config.poll_interval,
-        shared.config.idle_backoff_cap,
-        tail_jitter_seed(),
-    );
+    let mut backoff =
+        PollBackoff::with_jitter(POLL_INTERVAL, PollBackoff::DEFAULT_CAP, tail_jitter_seed());
     let mut lost_since: Option<Instant> = None;
     while !shared.stop.load(Ordering::Acquire) {
         let lost = match source.poll() {
@@ -575,7 +426,7 @@ fn tail_loop(
                 lost_since = None;
                 backoff.reset();
                 if let Err(e) = full_resync(shared, local_wal.as_mut()) {
-                    return halt(shared, format!("replica WAL truncate failed: {e}"));
+                    return halt(shared, format!("replica resync failed: {e}"));
                 }
                 continue;
             }
@@ -583,11 +434,12 @@ fn tail_loop(
                 lost_since = None;
                 false
             }
-            SourcePoll::Rejected(rejection @ HandshakeRejection::StaleLeader { .. }) => {
-                let mut stats = shared.stats.lock().expect("follower stats poisoned");
-                if let HandshakeRejection::StaleLeader { observed_term, .. } = rejection {
-                    stats.leader_term = stats.leader_term.max(observed_term);
-                }
+            SourcePoll::Rejected(HandshakeRejection::StaleLeader { observed_term, .. }) => {
+                observe_term(
+                    shared,
+                    &mut shared.stats.lock().expect("follower stats poisoned"),
+                    observed_term,
+                );
                 true
             }
             SourcePoll::Rejected(rejection) => return halt(shared, rejection.to_string()),
@@ -597,39 +449,40 @@ fn tail_loop(
             let since = *lost_since.get_or_insert_with(Instant::now);
             if let Some(promote) = shared.config.promote.clone() {
                 if since.elapsed() >= promote.detection_timeout {
-                    // The promoted engine reopens the local WAL; close
-                    // our append handle first so there is exactly one
-                    // writer.
-                    drop(local_wal.take());
                     let observed_term = {
                         let stats = shared.stats.lock().expect("follower stats poisoned");
                         stats.leader_term.max(source.observed_term())
                     };
-                    let outcome = try_promote(shared, &promote, observed_term);
-                    if let PromotionOutcome::Promoted = outcome {
-                        watch_promoted(shared);
-                        return;
-                    }
-                    local_wal = match open_local_wal(shared) {
-                        Ok(wal) => wal,
-                        Err(e) => return halt(shared, format!("replica WAL reopen failed: {e}")),
-                    };
-                    if let PromotionOutcome::LostRace(winner) = outcome {
-                        let last_epoch = shared
-                            .stats
-                            .lock()
-                            .expect("follower stats poisoned")
-                            .last_epoch;
-                        if let Ok(new_source) =
-                            TcpSource::connect_with_term(&winner, last_epoch, observed_term)
-                        {
-                            source = Box::new(new_source);
-                            lost_since = None;
-                            backoff.reset();
-                            continue;
+                    match try_promote(shared, &promote, observed_term, &mut local_wal) {
+                        PromotionOutcome::Promoted(listener) => {
+                            return watch_promoted(shared, listener);
                         }
-                        // The winner is not accepting yet; fall through,
-                        // sleep, and retry the election.
+                        PromotionOutcome::LostRace(winner) => {
+                            let last_epoch = shared
+                                .stats
+                                .lock()
+                                .expect("follower stats poisoned")
+                                .last_epoch;
+                            if let Ok(new_source) =
+                                TcpSource::connect_with_term(&winner, last_epoch, observed_term)
+                            {
+                                source = Box::new(new_source);
+                                lost_since = None;
+                                backoff.reset();
+                                continue;
+                            }
+                            // The winner is not accepting yet; sleep and
+                            // retry the election.
+                        }
+                        PromotionOutcome::Failed => {}
+                    }
+                    if local_wal.is_none() {
+                        local_wal = match open_local_wal(shared) {
+                            Ok(wal) => wal,
+                            Err(e) => {
+                                return halt(shared, format!("replica WAL reopen failed: {e}"))
+                            }
+                        };
                     }
                 }
             }
@@ -639,37 +492,22 @@ fn tail_loop(
 }
 
 /// The tail thread's afterlife as a promoted leader's demotion watchdog:
-/// poll the promoted engine for the fence flag (set when a subscriber at
-/// a strictly higher term reaches its replication listener). On a fence,
-/// stop the listener (existing followers must go find the real leader),
-/// flip to [`ReplicaState::Demoted`], and exit. The engine itself stays
-/// up: reads keep answering from the λ-state at demotion, while its own
-/// fence check refuses feedback, so the local WAL cannot diverge past the
-/// fence point.
-fn watch_promoted(shared: &Arc<FollowerShared>) {
+/// poll the engine for the fence flag (set when a subscriber at a strictly
+/// higher term reaches its replication listener). On a fence, stop the
+/// listener (existing followers must go find the real leader), flip to
+/// [`ReplicaState::Demoted`], and exit. The engine itself stays up: reads
+/// keep answering from the λ-state at demotion, while its own fence check
+/// refuses feedback, so the local WAL cannot diverge past the fence point.
+/// A stop drops the listener on the way out.
+fn watch_promoted(shared: &FollowerShared, listener: Option<ReplicationListener>) {
     while !shared.stop.load(Ordering::Acquire) {
-        let fenced = {
-            let promoted = shared.promoted.lock().expect("promoted leader poisoned");
-            match promoted.as_ref() {
-                Some(leader) => leader
-                    .engine
-                    .fenced_by()
-                    .map(|observed| (leader.engine.leader_term(), observed)),
-                None => return,
-            }
-        };
-        if let Some((term, observed)) = fenced {
-            if let Some(leader) = shared
-                .promoted
-                .lock()
-                .expect("promoted leader poisoned")
-                .as_mut()
-            {
-                leader.listener.take();
-            }
+        if let Some(observed) = shared.engine.fenced_by() {
+            drop(listener);
             obs::ENGINE_REPLICATION_DEMOTIONS.inc();
-            *shared.state.lock().expect("follower state poisoned") =
-                ReplicaState::Demoted { term, observed };
+            *shared.state.lock().expect("follower state poisoned") = ReplicaState::Demoted {
+                term: shared.engine.leader_term(),
+                observed,
+            };
             return;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -708,9 +546,8 @@ impl ReplicaWal {
 }
 
 /// Opens (replaying and truncating a torn tail) the configured local WAL —
-/// at start, and again after a promotion attempt that did not promote
-/// (the handle was closed to guarantee a single writer). `Ok(None)` when
-/// no local WAL is configured.
+/// at start, and again after a promotion attempt that closed it but did
+/// not promote. `Ok(None)` when no local WAL is configured.
 fn open_local_wal(shared: &FollowerShared) -> Result<Option<ReplicaWal>, StoreError> {
     match &shared.config.local_wal {
         Some(path) => {
@@ -737,13 +574,15 @@ fn local_entries(bytes: &[u8]) -> Vec<SourcedEntry> {
 }
 
 /// One promotion attempt: win the bind election (when a listen address is
-/// configured), replay the local WAL into a real serving engine — minting
-/// a leader term strictly above `observed_term` and everything in the WAL
-/// — start the replication listener, and flip the replica state.
+/// configured), close the replica WAL handle so the λ-writer is its one
+/// writer, promote the engine on that WAL — minting a leader term strictly
+/// above `observed_term` and everything in the WAL — start the
+/// replication listener, and flip the replica state.
 fn try_promote(
-    shared: &Arc<FollowerShared>,
+    shared: &FollowerShared,
     promote: &PromoteConfig,
     observed_term: u64,
+    local_wal: &mut Option<ReplicaWal>,
 ) -> PromotionOutcome {
     let listener = match &promote.listen {
         Some(addr) => match TcpListener::bind(addr) {
@@ -755,34 +594,32 @@ fn try_promote(
         },
         None => None,
     };
-    // Replaying the local WAL's signals through propagation converges to
-    // the same λ the deltas produced (the delta chain is a reordering-free
-    // transcript of exactly these applies), and `restore_epoch` continues
-    // the leader's epoch numbering.
-    let started = ServingEngine::start_promoted(
-        Arc::clone(&shared.deployment),
-        promote.serve,
-        &promote.wal_path,
-        observed_term,
-    );
-    let (engine, responses) = match started {
-        Ok(pair) => pair,
-        Err(_) => return PromotionOutcome::Failed,
+    let Some(path) = &shared.config.local_wal else {
+        return PromotionOutcome::Failed;
     };
-    let listener = listener
-        .and_then(|listener| serve_replication(&engine, listener, promote.replication).ok());
-    obs::ENGINE_REPLICATION_PROMOTIONS.inc();
-    *shared.promoted.lock().expect("promoted leader poisoned") = Some(PromotedLeader {
-        engine,
-        _responses: responses,
-        listener,
+    drop(local_wal.take());
+    if shared.engine.promote(path, observed_term).is_err() {
+        return PromotionOutcome::Failed;
+    }
+    let listener = listener.and_then(|listener| {
+        serve_replication(&shared.engine, listener, ReplicationConfig::default()).ok()
     });
+    obs::ENGINE_REPLICATION_PROMOTIONS.inc();
     *shared.state.lock().expect("follower state poisoned") = ReplicaState::Leader;
-    PromotionOutcome::Promoted
+    PromotionOutcome::Promoted(listener)
 }
 
-/// Applies one polled batch: delta records advance the local epoch chain
-/// (re-delivered epochs are skipped — replay is idempotent) and term
+/// Records a leader term seen on the wire: in the replication ledger, and
+/// as the following engine's term.
+fn observe_term(shared: &FollowerShared, stats: &mut FollowerStats, term: u64) {
+    if term > stats.leader_term {
+        stats.leader_term = term;
+        shared.engine.replication_hub().set_term(term);
+    }
+}
+
+/// Applies one polled batch: delta records advance the engine's epoch
+/// chain (re-delivered epochs are skipped — replay is idempotent) and term
 /// markers advance the observed term. Frames carrying raw bytes are
 /// appended to the local WAL first, so what the follower applied is what
 /// it can replay: the first append that fails stops the batch before that
@@ -792,7 +629,6 @@ fn apply_sourced(
     batch: Vec<SourcedEntry>,
     mut local_wal: Option<&mut ReplicaWal>,
 ) -> Result<(), StoreError> {
-    let lambdas = shared.lambdas.read().expect("follower lambdas poisoned");
     let mut stats = shared.stats.lock().expect("follower stats poisoned");
     let mut persisted = Ok(());
     for sourced in batch {
@@ -805,7 +641,7 @@ fn apply_sourced(
         match sourced.entry {
             WalEntry::Record(record) => {
                 stats.last_epoch = stats.last_epoch.max(record.delta.epoch);
-                match lambdas.apply_delta(&record.delta) {
+                match shared.engine.lambdas().apply_delta(&record.delta) {
                     Ok(_) => {
                         stats.applied += 1;
                         obs::ENGINE_REPLICATION_APPLIED.inc();
@@ -822,12 +658,12 @@ fn apply_sourced(
                     }
                 }
             }
-            WalEntry::Term(term) => {
-                stats.leader_term = stats.leader_term.max(term);
-            }
+            WalEntry::Term(term) => observe_term(shared, &mut stats, term),
         }
     }
-    let lag = stats.last_epoch.saturating_sub(lambdas.version());
+    let lag = stats
+        .last_epoch
+        .saturating_sub(shared.engine.lambda_version());
     obs::ENGINE_REPLICATION_LAG_EPOCHS.set(lag as i64);
     persisted
 }
@@ -840,13 +676,12 @@ fn apply_sourced(
 fn full_resync(
     shared: &FollowerShared,
     local_wal: Option<&mut ReplicaWal>,
-) -> Result<(), StoreError> {
+) -> Result<(), EngineError> {
     if let Some(local) = local_wal {
         local.wal.truncate_all()?;
         local.last_term = 0;
     }
-    let fresh = LambdaStore::new(shared.deployment.personalizer().clone());
-    *shared.lambdas.write().expect("follower lambdas poisoned") = fresh;
+    shared.engine.reset_lambdas()?;
     let mut stats = shared.stats.lock().expect("follower stats poisoned");
     stats.last_epoch = 0;
     stats.full_resyncs += 1;
@@ -856,6 +691,8 @@ fn full_resync(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PANIC_ID;
+    use crate::types::ServeRequest;
     use lorentz_core::personalizer::WalRecord;
     use lorentz_fault::{Fault, FaultyIo, Op, RealIo};
     use lorentz_types::{
@@ -875,6 +712,48 @@ mod tests {
         }
     }
 
+    /// A scratch directory removed on drop, named after its test and
+    /// this process.
+    struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("lorentz-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A leader that never sends anything.
+    struct Silent;
+
+    impl ReplicationSource for Silent {
+        fn poll(&mut self) -> SourcePoll {
+            SourcePoll::Idle
+        }
+
+        fn describe(&self) -> String {
+            "silent".to_owned()
+        }
+    }
+
+    fn request(id: u64) -> ServeRequest {
+        ServeRequest {
+            id,
+            profile: vec![None; crate::test_deployment().profiles().schema().len()],
+            offering: ServerOffering::GeneralPurpose,
+            path: path(7),
+            deadline: None,
+        }
+    }
+
     fn wait_until(what: &str, cond: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !cond() {
@@ -891,10 +770,8 @@ mod tests {
     /// lost delta.
     #[test]
     fn a_follower_halts_instead_of_applying_a_frame_it_could_not_persist() {
-        let dir = std::env::temp_dir().join(format!("lorentz-fail-stop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (wal, local) = (dir.join("leader.wal"), dir.join("replica.wal"));
+        let dir = ScratchDir::new("fail-stop");
+        let (wal, local) = (dir.0.join("leader.wal"), dir.0.join("replica.wal"));
         let deployment = crate::test_deployment();
         let (leader, _responses) =
             ServingEngine::start_with_wal(Arc::clone(&deployment), ServeConfig::default(), &wal)
@@ -912,7 +789,8 @@ mod tests {
         };
         let source = TcpSource::connect_with_term(repl.local_addr().to_string(), 0, 0).unwrap();
         let shared =
-            FollowerEngine::make_shared(Arc::clone(&deployment), FollowerConfig::default());
+            FollowerEngine::make_shared(Arc::clone(&deployment), FollowerConfig::default())
+                .unwrap();
         let follower =
             FollowerEngine::finish_start(shared, Box::new(source), Some(replica)).unwrap();
         wait_until("the term-1 marker", || follower.stats().leader_term == 1);
@@ -920,7 +798,7 @@ mod tests {
         let batch_lambda = deployment
             .personalizer()
             .lambda(&hot, ServerOffering::GeneralPurpose);
-        let batch_version = follower.lambda_version();
+        let batch_version = follower.engine().lambda_version();
 
         let signal = SatisfactionSignal::new(hot, ServerOffering::GeneralPurpose, 1.0).unwrap();
         leader.submit_feedback(signal).unwrap();
@@ -934,6 +812,7 @@ mod tests {
         }
         assert_eq!(follower.stats().applied, 0);
         let served = follower
+            .engine()
             .lambda_snapshot()
             .lambda(&hot, ServerOffering::GeneralPurpose);
         assert_eq!(
@@ -941,7 +820,7 @@ mod tests {
             batch_lambda.to_bits(),
             "λ ran ahead of the WAL"
         );
-        assert_eq!(follower.lambda_version(), batch_version);
+        assert_eq!(follower.engine().lambda_version(), batch_version);
         follower.stop();
         drop(repl);
         drop(leader);
@@ -953,19 +832,58 @@ mod tests {
             leader_bytes.starts_with(&replica_bytes),
             "the replica WAL must be a byte prefix of the leader's"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_epochs_are_skipped_not_fatal() {
         // Exercise the apply path directly on a store, as the follower
         // does when a resumed subscription re-delivers old records.
-        let store = LambdaStore::new(
+        let store = lorentz_core::ShardedLambdaStore::new(
             lorentz_core::Personalizer::new(lorentz_core::PersonalizerConfig::default()).unwrap(),
-        );
+            1,
+        )
+        .unwrap();
         let r = record(1, 0.5, 2);
         assert!(store.apply_delta(&r.delta).is_ok());
         assert!(store.apply_delta(&r.delta).is_err(), "duplicate skipped");
         assert_eq!(store.version(), 2);
+    }
+
+    #[test]
+    fn a_following_standby_counts_its_reads_in_the_ledger() {
+        let follower = FollowerEngine::start_with_source(
+            crate::test_deployment(),
+            Box::new(Silent),
+            FollowerConfig::default(),
+        )
+        .unwrap();
+        for id in 0..5 {
+            let response = follower.engine().answer(request(id)).unwrap();
+            assert_eq!(response.id, id);
+            assert!(response.result.is_ok(), "{:?}", response.result);
+        }
+        let stats = follower.engine().stats();
+        assert_eq!((stats.submitted, stats.accepted, stats.answered), (5, 5, 5));
+        assert_eq!(stats.accepted, stats.answered);
+        assert_eq!(follower.state(), ReplicaState::Following);
+    }
+
+    #[test]
+    fn a_panicking_read_on_a_standby_is_answered_as_panicked() {
+        let follower = FollowerEngine::start_with_source(
+            crate::test_deployment(),
+            Box::new(Silent),
+            FollowerConfig::default(),
+        )
+        .unwrap();
+        let response = follower.engine().answer(request(PANIC_ID)).unwrap();
+        match response.result {
+            Err(ServeError::Panicked(msg)) => assert_eq!(msg, "injected worker panic"),
+            other => panic!("expected a Panicked answer, got {other:?}"),
+        }
+        // The panic boundary held: the standby keeps answering.
+        assert!(follower.engine().answer(request(1)).unwrap().result.is_ok());
+        let stats = follower.engine().stats();
+        assert_eq!((stats.accepted, stats.answered, stats.panicked), (2, 2, 1));
     }
 }

@@ -56,14 +56,17 @@
 //!   a full-resync verdict when the leader compacted past it.
 //!   [`FollowerEngine::start_tcp`] subscribes through a [`TcpSource`]
 //!   (over loopback on the leader's machine), catches up, and serves from
-//!   the replicated epochs — applying the framed deltas converges
-//!   bit-for-bit without re-running propagation. It persists received
-//!   frames to a local WAL (byte-identical to the leader's) before
-//!   applying them and, with a [`PromoteConfig`], promotes itself to a
-//!   serving leader after the leader stays unreachable past the detection
-//!   timeout — exactly-once across racing standbys, arbitrated by the
-//!   promotion listen address bind. Tests inject their own
-//!   [`ReplicationSource`].
+//!   the replicated epochs through its own [`ServingEngine`], held in a
+//!   following role that refuses feedback — applying the framed deltas to
+//!   that engine's λ store converges bit-for-bit without re-running
+//!   propagation, whatever either side's shard count. It persists
+//!   received frames to a local WAL (byte-identical to the leader's)
+//!   before applying them and, with a [`PromoteConfig`], promotes itself
+//!   after the leader stays unreachable past the detection timeout —
+//!   exactly-once across racing standbys, arbitrated by the promotion
+//!   listen address bind. Promotion changes the role of that same engine:
+//!   it leads on the local WAL without re-running its signals, so readers
+//!   never see a reset λ. Tests inject their own [`ReplicationSource`].
 //! * **Leader-term fencing** — every leader serves under a monotonically
 //!   increasing term, minted at first start and on every promotion and
 //!   persisted in-band as a WAL term marker. Subscribe handshakes carry

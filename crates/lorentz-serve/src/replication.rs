@@ -148,7 +148,8 @@ impl ReplicationHub {
         self.last_epoch.load(Ordering::Acquire)
     }
 
-    /// Installs the leader term (engine start only).
+    /// Installs the leader term: at engine start and promotion, and as a
+    /// standby sees its leader's terms.
     pub(crate) fn set_term(&self, term: u64) {
         self.term.store(term, Ordering::Release);
     }

@@ -1,5 +1,5 @@
-//! Property and pinned tests of the JSON text layer every model file, WAL
-//! record and wire frame goes through: whatever the writer emits reads
+//! Property and pinned tests of the JSON text layer every model file and
+//! wire frame goes through: whatever the writer emits reads
 //! back to the same text (compact and pretty), compact text written
 //! straight from a typed value equals the text of its value tree, text
 //! read straight into a type gives what the type's `from_value` makes of
@@ -10,14 +10,9 @@
 //! are binary, not JSON: `tests/wal_props.rs` covers their decoder.
 
 use lorentz::core::explain::BucketSummary;
-use lorentz::core::{
-    Explanation, LorentzConfig, LorentzPipeline, Recommendation, SatisfactionSignal, TrainedLorentz,
-};
+use lorentz::core::{Explanation, LorentzConfig, LorentzPipeline, Recommendation, TrainedLorentz};
 use lorentz::simdata::fleet::{FleetConfig, SyntheticFleet};
-use lorentz::types::{
-    Capacity, CustomerId, FeatureId, ResourceGroupId, ResourcePath, ServerOffering, Sku, StoreKey,
-    SubscriptionId, ValueId,
-};
+use lorentz::types::{Capacity, FeatureId, ServerOffering, Sku, StoreKey, ValueId};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -124,14 +119,6 @@ fn offering(rng: &mut TestRng) -> ServerOffering {
     ServerOffering::ALL[rng.below(ServerOffering::ALL.len() as u64) as usize]
 }
 
-fn path(rng: &mut TestRng) -> ResourcePath {
-    ResourcePath::new(
-        CustomerId(rng.next_u64() as u32),
-        SubscriptionId(rng.below(10) as u32),
-        ResourceGroupId(rng.below(10) as u32),
-    )
-}
-
 fn bucket(rng: &mut TestRng) -> BucketSummary {
     match rng.below(4) {
         // An empty bucket: NaN min, median and max.
@@ -191,14 +178,6 @@ fn recommendation(rng: &mut TestRng) -> Recommendation {
         stage2_capacity: any_float(rng),
         lambda: any_float(rng),
         explanation: explanation(rng),
-    }
-}
-
-fn signal(rng: &mut TestRng) -> SatisfactionSignal {
-    SatisfactionSignal {
-        path: path(rng),
-        offering: offering(rng),
-        gamma: any_float(rng),
     }
 }
 
@@ -314,13 +293,6 @@ proptest! {
     #[test]
     fn recommendations_write_like_their_trees(rec in Sampled(recommendation)) {
         writes_like_its_tree(&rec)?;
-    }
-
-    /// Satisfaction signals, the one part of a WAL record that still has
-    /// a JSON form, write like their trees.
-    #[test]
-    fn wal_records_write_like_their_trees(signal in Sampled(signal)) {
-        writes_like_its_tree(&signal)?;
     }
 
     /// Maps write keys in the tree's order: a `BTreeMap` in key order, a
@@ -513,17 +485,6 @@ proptest! {
     ) {
         for text in &texts {
             reads_like_its_tree::<Recommendation>(text)?;
-        }
-    }
-
-    /// Satisfaction signals, the one part of a WAL record that still has
-    /// a JSON form, read like their trees.
-    #[test]
-    fn wal_records_read_like_their_trees(
-        texts in Sampled(|rng: &mut TestRng| mutated_texts(&signal(rng), rng))
-    ) {
-        for text in &texts {
-            reads_like_its_tree::<SatisfactionSignal>(text)?;
         }
     }
 

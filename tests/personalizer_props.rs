@@ -1,8 +1,8 @@
 //! Property-based tests of Algorithm 1 (message propagation), the λ
-//! adjustment (Eq. 13-14), and the live λ-table ([`LambdaStore`]) behind
-//! it.
+//! adjustment (Eq. 13-14), and the live λ-table
+//! ([`ShardedLambdaStore`](lorentz::core::ShardedLambdaStore)) behind it.
 
-use lorentz::core::{LambdaStore, Personalizer, PersonalizerConfig, SatisfactionSignal};
+use lorentz::core::{Personalizer, PersonalizerConfig, SatisfactionSignal, ShardedLambdaStore};
 use lorentz::types::{
     CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SkuCatalog, SubscriptionId,
 };
@@ -189,22 +189,73 @@ proptest! {
             }
             p
         };
-        let leader = LambdaStore::new(build());
-        let follower = LambdaStore::new(build());
+        let leader = ShardedLambdaStore::new(build(), 1).unwrap();
+        let follower = ShardedLambdaStore::new(build(), 1).unwrap();
         let mut reference = build();
         for &(pi, oi, g) in &signals {
             let sig = SatisfactionSignal::new(paths[pi], ServerOffering::ALL[oi], g).unwrap();
             reference.apply_signal(&sig);
             leader.apply_signal(&sig);
-            let delta = follower.apply_delta(&leader.publish_delta());
+            let delta = follower.apply_delta(&leader.publish_delta_for(&sig.path));
             prop_assert!(delta.is_ok(), "leader epochs always advance the follower");
         }
-        let l = leader.snapshot();
-        let f = follower.snapshot();
+        let l = leader.snapshot_shard(0).unwrap();
+        let f = follower.snapshot_shard(0).unwrap();
         prop_assert_eq!(f.version(), l.version());
         for (loc, off, lambda) in reference.iter() {
             prop_assert_eq!(l.lambda(&loc, off).to_bits(), lambda.to_bits());
             prop_assert_eq!(f.lambda(&loc, off).to_bits(), lambda.to_bits());
+        }
+    }
+
+    /// A follower of any shard count that applies a leader's published
+    /// deltas ends bit-identical to the leader — and to a direct
+    /// `Personalizer` — in λ for every path and offering, at the leader's
+    /// epoch, whatever shard count the leader itself runs with.
+    #[test]
+    fn followers_of_any_shard_count_converge_on_the_leader(
+        cfg in config_strategy(),
+        leader_shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(8usize)],
+        registered in proptest::collection::vec((0u32..12, 0u32..3, 0u32..3), 0..24),
+        signals in proptest::collection::vec(
+            ((0u32..12, 0u32..3, 0u32..3), 0usize..3, gamma_strategy()),
+            1..80,
+        ),
+    ) {
+        let build = || {
+            let mut p = Personalizer::new(cfg).unwrap();
+            for &(c, s, r) in &registered {
+                p.register(path(c, s, r));
+            }
+            p
+        };
+        let leader = ShardedLambdaStore::new(build(), leader_shards).unwrap();
+        let followers: Vec<ShardedLambdaStore> = [1, 2, 8]
+            .into_iter()
+            .map(|shards| ShardedLambdaStore::new(build(), shards).unwrap())
+            .collect();
+        let mut reference = build();
+        for &((c, s, r), oi, g) in &signals {
+            let sig = SatisfactionSignal::new(path(c, s, r), ServerOffering::ALL[oi], g).unwrap();
+            reference.apply_signal(&sig);
+            leader.apply_signal(&sig);
+            let delta = leader.publish_delta_for(&sig.path);
+            for follower in &followers {
+                prop_assert_eq!(follower.apply_delta(&delta), Ok(delta.epoch));
+            }
+        }
+        for follower in &followers {
+            prop_assert_eq!(follower.version(), leader.version());
+            for (loc, off, lambda) in reference.iter() {
+                let led = leader.snapshot_for(&loc).lambda(&loc, off);
+                let followed = follower.snapshot_for(&loc).lambda(&loc, off);
+                prop_assert_eq!(led.to_bits(), lambda.to_bits());
+                prop_assert!(
+                    followed.to_bits() == lambda.to_bits(),
+                    "a {}-shard follower diverged at {loc:?} {off:?}",
+                    follower.shards()
+                );
+            }
         }
     }
 
@@ -260,7 +311,7 @@ proptest! {
         for &loc in &paths {
             p.register(loc);
         }
-        let store = Arc::new(LambdaStore::new(p));
+        let store = Arc::new(ShardedLambdaStore::new(p, 1).unwrap());
         let done = Arc::new(AtomicBool::new(false));
         let origin = paths[0];
         let writer = {
@@ -282,7 +333,7 @@ proptest! {
         let mut rounds = 0usize;
         while rounds < 2 || !done.load(Ordering::Acquire) {
             rounds += 1;
-            let snap = store.snapshot();
+            let snap = store.snapshot_shard(0).unwrap();
             prop_assert!(snap.version() >= last_version, "version went backwards");
             let l0 = snap.lambda(&paths[0], ServerOffering::ALL[0]);
             for loc in &paths {
@@ -307,7 +358,7 @@ proptest! {
         }
         writer.join().unwrap();
         prop_assert_eq!(store.version(), 1 + n_signals as u64);
-        let final_snap = store.snapshot();
+        let final_snap = store.snapshot_shard(0).unwrap();
         let expect = n_signals as f64 * step;
         prop_assert_eq!(
             final_snap.lambda(&paths[n_paths - 1], ServerOffering::MemoryOptimized),

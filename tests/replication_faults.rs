@@ -73,6 +73,7 @@ fn torn_replication_send_is_survived_by_reconnect_and_resume() {
     }
     assert_eq!(proxy.cuts(), 1);
     let replicated = follower
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(replicated.to_bits(), lambda.to_bits());

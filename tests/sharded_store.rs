@@ -6,8 +6,8 @@
 
 use lorentz::core::store::PublishBatch;
 use lorentz::core::{
-    LambdaStore, Personalizer, PersonalizerConfig, PredictionStore, SatisfactionSignal,
-    ShardedLambdaStore, ShardedPredictionStore,
+    Personalizer, PersonalizerConfig, PredictionStore, SatisfactionSignal, ShardedLambdaStore,
+    ShardedPredictionStore,
 };
 use lorentz::types::{
     CustomerId, FeatureId, ResourceGroupId, ResourcePath, ServerOffering, ShardRouter, StoreKey,
@@ -201,7 +201,7 @@ proptest! {
                 ));
             }
         }
-        let flat = LambdaStore::new(personalizer.clone());
+        let flat = ShardedLambdaStore::new(personalizer.clone(), 1).unwrap();
         let sharded = ShardedLambdaStore::new(personalizer, shards).unwrap();
         for (customer, gamma) in signals {
             let path =
@@ -219,7 +219,7 @@ proptest! {
                     sharded
                         .snapshot_for(&probe)
                         .lambda(&probe, ServerOffering::GeneralPurpose),
-                    flat.snapshot().lambda(&probe, ServerOffering::GeneralPurpose)
+                    flat.snapshot_for(&probe).lambda(&probe, ServerOffering::GeneralPurpose)
                 );
             }
         }

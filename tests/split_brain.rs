@@ -105,11 +105,10 @@ fn healed_partition_fences_the_old_leader_leaving_exactly_one() {
             deployment(),
             &proxy_addr,
             FollowerConfig {
-                local_wal: Some(local.clone()),
+                local_wal: Some(local),
                 promote: Some(PromoteConfig {
                     listen: Some(promote_addr.clone()),
                     detection_timeout: Duration::from_millis(200),
-                    ..PromoteConfig::new(local)
                 }),
                 ..FollowerConfig::default()
             },
@@ -150,7 +149,7 @@ fn healed_partition_fences_the_old_leader_leaving_exactly_one() {
         }
     };
     let loser = if std::ptr::eq(winner, &a) { &b } else { &a };
-    assert_eq!(winner.leader_term(), 2);
+    assert_eq!(winner.engine().leader_term(), 2);
 
     proxy.heal();
 
@@ -251,11 +250,10 @@ fn promoted_leader_observing_a_higher_term_demotes_but_keeps_reads() {
         deployment(),
         &addr,
         FollowerConfig {
-            local_wal: Some(local.clone()),
+            local_wal: Some(local),
             promote: Some(PromoteConfig {
                 listen: Some(promote_addr.clone()),
                 detection_timeout: Duration::from_millis(200),
-                ..PromoteConfig::new(local)
             }),
             ..FollowerConfig::default()
         },
@@ -272,8 +270,9 @@ fn promoted_leader_observing_a_higher_term_demotes_but_keeps_reads() {
     wait_until("standby promotion", Duration::from_secs(15), || {
         standby.is_leader()
     });
-    assert_eq!(standby.leader_term(), 2);
+    assert_eq!(standby.engine().leader_term(), 2);
     let lambda_before = standby
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
 
@@ -307,6 +306,7 @@ fn promoted_leader_observing_a_higher_term_demotes_but_keeps_reads() {
         other => panic!("demoted replica must refuse feedback, got {other:?}"),
     }
     let lambda_after = standby
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(lambda_after.to_bits(), lambda_before.to_bits());
@@ -362,6 +362,7 @@ fn redelivered_epochs_are_idempotent_and_counted() {
     .unwrap();
     wait_for_epoch(&follower, 4);
     let lambda = follower
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     let stats = follower.stop();
@@ -381,6 +382,7 @@ fn redelivered_epochs_are_idempotent_and_counted() {
     .unwrap();
     wait_for_epoch(&clean, 4);
     let clean_lambda = clean
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     let clean_stats = clean.stop();

@@ -84,6 +84,7 @@ fn tcp_follower_serves_lambda_byte_identical_to_the_leader() {
 
     wait_for_epoch(&follower, want);
     let replicated = follower
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(
@@ -91,7 +92,7 @@ fn tcp_follower_serves_lambda_byte_identical_to_the_leader() {
         lambda.to_bits(),
         "replicated λ diverged from the leader's"
     );
-    assert_eq!(follower.lambda_version(), want);
+    assert_eq!(follower.engine().lambda_version(), want);
     let stats = follower.stop();
     assert_eq!(stats.applied, 3);
     assert_eq!(stats.skipped, 0);
@@ -148,6 +149,7 @@ fn torn_record_stalls_the_follower_until_the_leader_truncates() {
     // on the full three-signal history, bit for bit.
     wait_for_epoch(&follower, want);
     let replicated = follower
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(replicated.to_bits(), lambda.to_bits());
@@ -197,6 +199,7 @@ fn restarted_tcp_follower_resumes_from_its_last_epoch() {
     let follower = FollowerEngine::start_tcp(deployment(), &addr, config).unwrap();
     wait_for_epoch(&follower, want);
     let replicated = follower
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(replicated.to_bits(), lambda.to_bits());
@@ -381,11 +384,10 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
             deployment(),
             &addr,
             FollowerConfig {
-                local_wal: Some(local.clone()),
+                local_wal: Some(local),
                 promote: Some(PromoteConfig {
                     listen: Some(promote_addr.clone()),
                     detection_timeout: Duration::from_millis(200),
-                    ..PromoteConfig::new(local)
                 }),
                 ..FollowerConfig::default()
             },
@@ -424,15 +426,16 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
 
     // The promoted replica replayed its local WAL: its λ equals the dead
     // leader's published λ and its epoch numbering continues the chain.
-    assert_eq!(promoted.lambda_version(), epoch_at_kill);
+    assert_eq!(promoted.engine().lambda_version(), epoch_at_kill);
     let served = promoted
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(served.to_bits(), lambda_at_kill.to_bits());
 
     // It now accepts feedback like any leader...
     promoted.submit_feedback(signal(0.5)).unwrap();
-    assert_eq!(promoted.lambda_version(), epoch_at_kill + 1);
+    assert_eq!(promoted.engine().lambda_version(), epoch_at_kill + 1);
 
     // ...and the loser re-subscribed to it as its new upstream: it stays
     // a follower, never promotes, and converges on the new epoch.
@@ -448,9 +451,11 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
     }
     assert_eq!(loser.state(), ReplicaState::Following);
     let promoted_lambda = promoted
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     let refollowed = loser
+        .engine()
         .lambda_snapshot()
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(refollowed.to_bits(), promoted_lambda.to_bits());
@@ -460,4 +465,51 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
         Err(ServeError::Draining) => {}
         other => panic!("a follower must reject feedback, got {other:?}"),
     }
+}
+
+#[test]
+fn a_sharded_standby_keeps_its_shards_after_promotion() {
+    let dir = TestDir::new("tcp-repl-sharded-promotion");
+    let wal = dir.join("leader.wal");
+    let (leader, _responses, repl) = start_leader(&wal);
+    let follower = FollowerEngine::start_tcp(
+        deployment(),
+        &repl.local_addr().to_string(),
+        FollowerConfig {
+            serve: ServeConfig {
+                shards: 4,
+                ..ServeConfig::default()
+            },
+            local_wal: Some(dir.join("replica.wal")),
+            promote: Some(PromoteConfig {
+                listen: None,
+                detection_timeout: Duration::from_millis(100),
+            }),
+        },
+    )
+    .unwrap();
+    leader.submit_feedback(signal(1.0)).unwrap();
+    leader.flush_feedback();
+    let epoch = leader.lambda_version();
+    let lambda = leader_lambda(&leader);
+    wait_for_epoch(&follower, epoch);
+    drop((repl, leader));
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while !follower.is_leader() {
+        assert!(Instant::now() < deadline, "the standby never promoted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // The promoted leader is the standby's own 4-shard engine, serving
+    // the λ it replicated at the leader's epoch.
+    let engine = follower.engine();
+    assert_eq!(engine.shards(), 4);
+    assert_eq!(engine.leader_term(), 2);
+    assert_eq!(engine.lambda_version(), epoch);
+    let promoted = engine
+        .lambda_snapshot_for(&hot_path())
+        .lambda(&hot_path(), ServerOffering::GeneralPurpose);
+    assert_eq!(promoted.to_bits(), lambda.to_bits());
+    follower.submit_feedback(signal(0.5)).unwrap();
+    assert_eq!(engine.lambda_version(), epoch + 1);
 }
