@@ -21,8 +21,9 @@ pub struct NodeWal {
     pub intact_len: u64,
     /// Whether the tail is torn/corrupt.
     pub torn: bool,
-    /// Delta epochs of signal records, in append order.
-    pub epochs: Vec<u64>,
+    /// Delta epochs of signal records, in append order, paired with their
+    /// byte offsets.
+    pub epochs: Vec<(u64, u64)>,
     /// Term markers, in append order, paired with their byte offsets.
     pub terms: Vec<(u64, u64)>,
 }
@@ -41,7 +42,7 @@ impl NodeWal {
         let mut terms = Vec::new();
         for r in &report.records {
             if let Some(e) = r.epoch {
-                epochs.push(e);
+                epochs.push((e, r.offset));
             }
             if let Some(t) = r.term {
                 terms.push((t, r.offset));
@@ -86,9 +87,6 @@ pub struct StandbyLedger {
     pub term: u64,
     /// Final served λ epoch.
     pub lambda_version: u64,
-    /// Deltas that failed to apply for reasons other than idempotent
-    /// re-delivery.
-    pub skipped: u64,
     /// Idempotent re-delivered epochs counted, not applied.
     pub duplicates: u64,
 }
@@ -138,7 +136,6 @@ impl StandbyLedger {
             state: line[state_start..state_end].to_owned(),
             term: digits_after(line, ", term ").ok_or_else(|| parse_err("term"))?,
             lambda_version: digits_after(line, "lambda v").ok_or_else(|| parse_err("lambda v"))?,
-            skipped: digits_before(line, " skipped").ok_or_else(|| parse_err("skipped"))?,
             duplicates: digits_before(line, " duplicates")
                 .ok_or_else(|| parse_err("duplicates"))?,
         })
@@ -184,6 +181,9 @@ pub struct InvariantInput<'a> {
     pub census: &'a [(String, ProbeOutcome)],
     /// The surviving old leader's post-heal outcome.
     pub old_leader: Option<&'a OldLeaderOutcome>,
+    /// Each standby's raw reply to one post-census feedback frame sent to
+    /// its client port with a 1 s timeout, index-aligned with `ledgers`.
+    pub failover_feedback: &'a [(String, String)],
 }
 
 /// Runs every invariant, returning human-readable violations (empty =
@@ -213,10 +213,10 @@ pub fn check(input: &InvariantInput<'_>) -> Vec<String> {
             }
         }
         for pair in wal.epochs.windows(2) {
-            if pair[1] != pair[0] + 1 {
+            if pair[1].0 != pair[0].0 + 1 {
                 violation(format!(
                     "{}: epochs not dense/monotonic ({} then {})",
-                    wal.name, pair[0], pair[1]
+                    wal.name, pair[0].0, pair[1].0
                 ));
             }
         }
@@ -272,12 +272,6 @@ pub fn check(input: &InvariantInput<'_>) -> Vec<String> {
     }
 
     for ledger in input.ledgers {
-        if ledger.skipped != 0 {
-            violation(format!(
-                "{}: {} deltas skipped (corruption on the replication path)",
-                ledger.name, ledger.skipped
-            ));
-        }
         if ledger.state == "leader" {
             continue;
         }
@@ -298,7 +292,7 @@ pub fn check(input: &InvariantInput<'_>) -> Vec<String> {
     // --- λ convergence across survivors: every survivor ends at the same
     // λ epoch, and loser WALs are byte-identical to the winner's (prefix
     // property degenerating to equality once caught up).
-    let top_epoch = winner_wal.epochs.last().copied().unwrap_or(0);
+    let top_epoch = winner_wal.epochs.last().map_or(0, |&(epoch, _)| epoch);
     for (ledger, wal) in input.ledgers.iter().zip(input.standby_wals) {
         if ledger.lambda_version != winner.lambda_version {
             violation(format!(
@@ -403,12 +397,15 @@ pub fn check(input: &InvariantInput<'_>) -> Vec<String> {
                 ));
             }
             // Divergent tail accounting: the isolated leader's extra
-            // signal records are exactly the diverging acks.
+            // signal records are exactly the diverging acks. The common
+            // records are the ones the winner replicated before minting
+            // its term (the prefix check above holds them byte-equal).
             let old_signals = input.leader_wal.epochs.len() as u64;
+            let fence_point = winner_wal.max_term_offset().unwrap_or(0);
             let common_signals = winner_wal
                 .epochs
                 .iter()
-                .filter(|&&e| input.leader_wal.epochs.contains(&e))
+                .filter(|&&(_, offset)| offset < fence_point)
                 .count() as u64;
             if old_signals != common_signals + old.diverged_acked {
                 violation(format!(
@@ -424,6 +421,32 @@ pub fn check(input: &InvariantInput<'_>) -> Vec<String> {
         (false, _) => {}
     }
 
+    // --- failover keeps feedback open: exactly the winner acks, every
+    // other standby refuses as a non-leader or a fenced one.
+    let mut acked = Vec::new();
+    for ((node, reply), ledger) in input.failover_feedback.iter().zip(input.ledgers) {
+        if reply.contains("\"ack\"") {
+            acked.push(node.as_str());
+            if ledger.state != "leader" {
+                violation(format!(
+                    "{node}: acked feedback but ended '{}', not the promoted leader",
+                    ledger.state
+                ));
+            }
+        } else if !reply.contains("\"not_leader\"") && !reply.contains("fenced") {
+            violation(format!(
+                "{node}: feedback answered neither an ack, not_leader nor fenced: {reply}"
+            ));
+        }
+    }
+    if acked.len() != 1 {
+        violation(format!(
+            "failover: {} standbys acked feedback within 1 s (want exactly 1): [{}]",
+            acked.len(),
+            acked.join(", ")
+        ));
+    }
+
     violations
 }
 
@@ -435,26 +458,24 @@ mod tests {
     fn ledger_line_parses() {
         let stderr = vec![
             "following tcp://127.0.0.1:9 (caught up to epoch 4)".to_owned(),
-            "followed tcp://127.0.0.1:9: 7 deltas applied, 0 skipped \
-             (lambda v8, last epoch 8); served 0 requests, 0 feedback rejected \
-             (read-only); state following, term 2, 1 duplicates"
+            "followed tcp://127.0.0.1:9: 7 deltas applied (lambda v8, last epoch 8); \
+             state following, term 2, 1 duplicates"
                 .to_owned(),
         ];
         let ledger = StandbyLedger::parse("standby0", &stderr).unwrap();
         assert_eq!(ledger.state, "following");
         assert_eq!(ledger.term, 2);
         assert_eq!(ledger.lambda_version, 8);
-        assert_eq!(ledger.skipped, 0);
         assert_eq!(ledger.duplicates, 1);
     }
 
     #[test]
     fn ledger_line_parses_demoted_state_with_embedded_terms() {
-        let stderr = vec!["followed tcp://h:1: 3 deltas applied, 0 skipped \
-             (lambda v4, last epoch 4); served 1 requests, 2 feedback rejected \
-             (read-only), 5 feedback applied (promoted leader); \
+        let stderr = vec![
+            "followed tcp://h:1: 3 deltas applied (lambda v4, last epoch 4); \
              state demoted (term 2 fenced by term 3), term 3, 0 duplicates"
-            .to_owned()];
+                .to_owned(),
+        ];
         let ledger = StandbyLedger::parse("s", &stderr).unwrap();
         assert_eq!(ledger.state, "demoted (term 2 fenced by term 3)");
         assert_eq!(ledger.term, 3);

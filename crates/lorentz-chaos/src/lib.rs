@@ -2,8 +2,8 @@
 //!
 //! `lorentz chaos --seed N` spawns a **real** cluster out of the already-
 //! built binaries — one leader (`serve --listen` with a feedback WAL and
-//! a replication listener) and standbys (`serve --follow` with replica
-//! WALs and armed promotion) — drives feedback load over the production
+//! a replication listener) and standbys (`serve --listen --follow` with
+//! replica WALs and armed promotion) — drives feedback load over the production
 //! wire protocol, injects a seeded fault schedule (kill -9, SIGSTOP, a
 //! replication partition through a built-in TCP fault proxy, benign delay
 //! windows), heals, and then checks cluster-wide invariants:
@@ -17,9 +17,15 @@
 //!    before minting its term sits verbatim in the old leader's log, and
 //!    caught-up losers hold byte-identical copies of the winner's log.
 //! 5. **λ convergence**: every survivor ends at the same λ epoch.
-//! 6. **Exact ledgers**: no skipped deltas, the fenced leader drains
-//!    cleanly with a frozen WAL, and the isolated leader's divergent tail
-//!    is exactly the feedback it acked while partitioned.
+//! 6. **Exact ledgers**: the fenced leader drains cleanly with a frozen
+//!    WAL, and the isolated leader's divergent tail is exactly the
+//!    feedback it acked while partitioned.
+//! 7. **Failover keeps feedback open**: one feedback frame to each
+//!    standby's client port is acked by exactly one — the winner — within
+//!    1 s; every other standby answers `not_leader` or `fenced`.
+//!
+//! Every node serves clients on its own `--listen` port and is stopped
+//! with a `{"op": "drain"}` frame, like any production server.
 //!
 //! Every random choice draws from one SplitMix64 stream seeded by
 //! `--seed`, so any violation replays with the same command; the failing
@@ -90,9 +96,6 @@ pub struct ChaosConfig {
     pub work_dir: Option<PathBuf>,
     /// Number of standbys racing for promotion.
     pub standbys: usize,
-    /// How long each standby stays alive after catch-up (the scenario
-    /// must fit inside this window).
-    pub run_ms: u64,
     /// Leader-loss detection timeout handed to the standbys.
     pub promote_after_ms: u64,
     /// Keep scratch dirs even on a passing run.
@@ -100,15 +103,13 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Defaults around `binary`: two standbys, 9 s scenario window,
-    /// 400 ms promotion timeout.
+    /// Defaults around `binary`: two standbys, 400 ms promotion timeout.
     pub fn new(binary: impl Into<PathBuf>) -> Self {
         Self {
             binary: binary.into(),
             model: None,
             work_dir: None,
             standbys: 2,
-            run_ms: 9000,
             promote_after_ms: 400,
             keep_work_dir: false,
         }
@@ -255,11 +256,6 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
             path
         }
     };
-    let empty_requests = dir.join("empty.ndjson");
-    std::fs::write(&empty_requests, b"").map_err(|e| ChaosError::Io {
-        path: empty_requests.display().to_string(),
-        source: e,
-    })?;
 
     // --- leader ----------------------------------------------------------
     let leader_wal = dir.join("leader.wal");
@@ -297,6 +293,7 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
     })?;
     let promote_addr = free_port()?;
     let mut standbys = Vec::new();
+    let mut standby_addrs = Vec::new();
     let mut standby_wal_paths = Vec::new();
     for i in 0..config.standbys {
         let name = format!("standby{i}");
@@ -308,8 +305,8 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
                 "serve".into(),
                 "--model".into(),
                 model.display().to_string(),
-                "--requests".into(),
-                empty_requests.display().to_string(),
+                "--listen".into(),
+                "127.0.0.1:0".into(),
                 "--follow".into(),
                 format!("tcp://{}", proxy.local_addr()),
                 "--replica-wal".into(),
@@ -318,11 +315,12 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
                 promote_addr.to_string(),
                 "--promote-after-ms".into(),
                 config.promote_after_ms.to_string(),
-                "--run-ms".into(),
-                config.run_ms.to_string(),
             ],
         )?;
-        node.wait_for_stderr("following ", io_timeout)?;
+        standby_addrs.push(parse_addr(
+            &node.wait_for_stderr("listening on ", io_timeout)?,
+            &name,
+        )?);
         standby_wal_paths.push(wal);
         standbys.push(node);
     }
@@ -481,9 +479,20 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
         None => None,
     };
 
+    // --- failover: feedback reaches exactly one standby's client port ----
+    let failover_feedback: Vec<(String, String)> = standby_addrs
+        .iter()
+        .enumerate()
+        .map(|(i, &addr)| {
+            let reply = net::probe_feedback(addr, &mut rng, Duration::from_secs(1))
+                .unwrap_or_else(|e| format!("probe failed: {e}"));
+            (format!("standby{i}"), reply)
+        })
+        .collect();
+
     // Settle: caught-up losers hold byte-identical copies of the winner's
-    // WAL. We cannot know which standby won until the ledgers print, so
-    // wait for every pair to converge.
+    // WAL, the signal it just acked included. We cannot know which standby
+    // won until the ledgers print, so wait for every pair to converge.
     let settle = Duration::from_secs(5);
     for wal in &standby_wal_paths {
         let reference = standby_wal_paths[0].clone();
@@ -493,10 +502,11 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
         })?;
     }
 
-    // --- collect ledgers and artifacts -----------------------------------
+    // --- drain the standbys and collect ledgers and artifacts ------------
     let mut ledgers = Vec::new();
-    for node in &mut standbys {
-        let code = node.wait_exit(Duration::from_millis(config.run_ms + 8000))?;
+    for (node, &addr) in standbys.iter_mut().zip(&standby_addrs) {
+        net::drain(addr, io_timeout)?;
+        let code = node.wait_exit(Duration::from_secs(10))?;
         if code != Some(0) {
             return Err(ChaosError::Timeout(format!(
                 "{} exited {:?}; stderr:\n{}",
@@ -522,6 +532,7 @@ pub fn run_seed(seed: u64, config: &ChaosConfig) -> Result<SeedReport, ChaosErro
         winner_term,
         census: &census,
         old_leader: old_leader.as_ref(),
+        failover_feedback: &failover_feedback,
     });
 
     if violations.is_empty() && !config.keep_work_dir {

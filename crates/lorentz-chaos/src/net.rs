@@ -76,7 +76,8 @@ pub fn drive_feedback(
 }
 
 /// Sends one feedback frame and returns the raw reply text (ack or error
-/// frame), for probing a leader expected to be fenced.
+/// frame), for probing which nodes take feedback: a fenced leader, a
+/// standby that has not promoted, the winner.
 pub fn probe_feedback(
     addr: SocketAddr,
     rng: &mut SplitMix64,
@@ -91,8 +92,8 @@ pub fn probe_feedback(
     Ok(String::from_utf8_lossy(&reply).into_owned())
 }
 
-/// Sends `{"op": "drain"}`, which makes a `--listen` leader drain and
-/// exit after acking.
+/// Sends `{"op": "drain"}`, which makes a `--listen` node — leader or
+/// standby — drain and exit after acking.
 pub fn drain(addr: SocketAddr, timeout: Duration) -> Result<(), ChaosError> {
     let mut stream = connect(addr, timeout)?;
     wire::write_frame(&mut stream, br#"{"op": "drain"}"#)

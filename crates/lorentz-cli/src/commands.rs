@@ -11,8 +11,9 @@ use lorentz_core::{
     Rightsizer, SatisfactionSignal, TrainedLorentz,
 };
 use lorentz_serve::{
-    serve_net, serve_replication, FollowerConfig, FollowerEngine, NetConfig, PromoteConfig,
-    ReplicationConfig, ServeConfig, ServeRequest, ServeResponse, ServingEngine,
+    serve_net, serve_replication, FollowerConfig, FollowerEngine, NetConfig, NetReport,
+    PromoteConfig, ReplicaState, ReplicationConfig, ServeConfig, ServeRequest, ServeResponse,
+    ServingEngine,
 };
 use lorentz_simdata::fleet::{FleetConfig, SyntheticFleet};
 use lorentz_simdata::persim::{PersonalizationSim, PersonalizationSimConfig};
@@ -88,28 +89,24 @@ USAGE:
                      additionally binds a replication listener that streams the
                      feedback WAL to tcp:// followers, resuming each from its
                      last applied epoch — requires --feedback-wal)
-  lorentz serve     --model model.json --requests requests.ndjson
-                    --follow tcp://HOST:PORT
+  lorentz serve     --model model.json --listen ADDR --follow tcp://HOST:PORT
                     [--kind hierarchical|target-encoding] [--shards N] [--replica-wal wal.log]
-                    [--promote-listen ADDR] [--promote-after-ms N] [--await-promotion]
-                    [--run-ms MS] [--json] [--metrics-out metrics.json]
-                    (replication follower: subscribes to a leader's
-                     --replicate-listen — over loopback, tcp://127.0.0.1:PORT, on
-                     the leader's machine — catches up on its stream, applies its
-                     λ deltas, then serves the requests from the replicated epochs
-                     (not over TCP: --listen and --follow cannot be combined);
-                     feedback lines are rejected while following, only the leader
-                     mints epochs. --replica-wal persists received frames
-                     byte-identical to the leader's log before applying them, so a
-                     restart resumes from the last epoch, and --promote-listen
-                     arms promotion: after the leader stays unreachable for
-                     --promote-after-ms (default 1000), the follower that binds
-                     ADDR first becomes the leader on its replica WAL, keeping
-                     its --shards and the λ it replicated, and accepts feedback; --await-promotion holds the request
-                     lines until that happens; --run-ms keeps the follower alive —
-                     tailing, promotable, serving a promoted listener — for MS
-                     milliseconds after the request lines, for standby deployments
-                     and the chaos harness)
+                    [--promote-listen ADDR] [--promote-after-ms N]
+                    [--max-frame-len BYTES] [--json] [--metrics-out metrics.json]
+                    (standby: subscribes to a leader's --replicate-listen — over
+                     loopback, tcp://127.0.0.1:PORT, on the leader's machine —,
+                     catches up on its stream and applies its λ deltas, then serves
+                     clients on ADDR with the same frames, drain and post-drain
+                     ledger as a leader, plus a 'followed …' replication line; reads
+                     answer from the replicated epochs and feedback is refused with
+                     kind not_leader, only the leader mints epochs. --replica-wal
+                     persists received frames byte-identical to the leader's log
+                     before applying them, so a restart resumes from the last epoch,
+                     and --promote-listen arms promotion: after the leader stays
+                     unreachable for --promote-after-ms (default 1000), the standby
+                     that binds ADDR first becomes the leader on its replica WAL,
+                     keeping its --shards and the λ it replicated, and the same
+                     client port acks feedback)
   lorentz wal-verify --wal wal.log
                     (walk a feedback WAL read-only, reporting per-record OK/CORRUPT
                      verdicts like store-verify plus term markers and the last
@@ -126,7 +123,7 @@ USAGE:
   lorentz ticket    [--symptoms S] [--subject S] [--resolution S]
   lorentz persim    [--iters N] [--signal-rate X] [--signal-noise X] [--sigma X] [--seed N]
   lorentz chaos     --seed N [--seeds K] [--model model.json] [--standbys N]
-                    [--run-ms MS] [--promote-after-ms MS] [--work-dir DIR]
+                    [--promote-after-ms MS] [--work-dir DIR]
                     [--keep-dirs]
                     (seeded cluster chaos: spawns a real leader + standbys from this
                      binary, drives feedback load, injects the seed's fault schedule —
@@ -134,7 +131,8 @@ USAGE:
                      TCP fault proxy — heals, fences the old leader, and checks the
                      split-brain invariants: at most one unfenced leader, strictly
                      increasing terms, dense epochs, replica-WAL prefix property,
-                     λ convergence, and exact ledgers. --seeds K runs seeds N..N+K-1
+                     λ convergence, exact ledgers, and exactly one standby client
+                     port acking feedback. --seeds K runs seeds N..N+K-1
                      against one shared model fixture; any violation prints the seed
                      and schedule for one-command replay and exits nonzero)
   lorentz help
@@ -170,9 +168,9 @@ pub fn lookup(name: &str) -> Option<Command> {
             concat!(
                 "model kind workers queue-capacity degraded-at deadline-ms shards listen ",
                 "max-frame-len replicate-listen requests feedback-wal follow replica-wal ",
-                "promote-listen promote-after-ms run-ms metrics-out"
+                "promote-listen promote-after-ms metrics-out"
             ),
-            "json await-promotion",
+            "json",
         ),
         "wal-verify" => (wal_verify, "wal", ""),
         "feedback" => (feedback, "model tickets out", ""),
@@ -182,7 +180,7 @@ pub fn lookup(name: &str) -> Option<Command> {
         "persim" => (persim, "iters signal-rate signal-noise sigma seed", ""),
         "chaos" => (
             chaos,
-            "seed seeds model work-dir standbys run-ms promote-after-ms",
+            "seed seeds model work-dir standbys promote-after-ms",
             "keep-dirs",
         ),
         _ => return None,
@@ -634,11 +632,19 @@ fn wait_for_quiescence(engine: &ServingEngine) {
 /// answers are printed to stdout ordered by request id.
 pub fn serve(args: &Args) -> Result<(), CliError> {
     use serde::Serialize;
-    if args.get("listen").is_some() && args.get("follow").is_some() {
-        return Err(CliError::Usage(
-            "--listen and --follow cannot be combined: a standby serves --requests lines only"
-                .to_owned(),
-        ));
+    if args.get("follow").is_some() {
+        if args.get("listen").is_none() {
+            return Err(CliError::Usage(
+                "--follow requires --listen ADDR: a standby serves its clients over TCP".to_owned(),
+            ));
+        }
+        if args.get("requests").is_some() {
+            return Err(CliError::Usage(
+                "--requests cannot be combined with --follow: a standby serves TCP clients on \
+                 --listen"
+                    .to_owned(),
+            ));
+        }
     }
     let deployment = Arc::new(load_model(args.require("model")?)?);
     let kind = match args.get_or("kind", "hierarchical") {
@@ -662,9 +668,6 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     let requests_path = args.require("requests")?;
     let text = fs::read_to_string(requests_path).map_err(|e| CliError::io(requests_path, e))?;
     let lines = parse_serve_lines(&text, requests_path, deployment.profiles().schema())?;
-    if let Some(spec) = args.get("follow") {
-        return serve_follow(args, deployment, lines, config, &Endpoint::parse(spec)?);
-    }
     let total = lines
         .iter()
         .filter(|l| matches!(l, ServeLine::Request(_)))
@@ -748,29 +751,62 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     write_metrics(args)
 }
 
-/// `lorentz serve --listen`: put the TCP front end on the engine. Binds the
-/// address, prints `listening on <addr>` to stderr (port 0 resolves to the
-/// kernel-assigned port, so harnesses can parse it), and serves persistent
-/// connections speaking the length-prefixed JSON frame protocol until a
-/// client sends `{"op": "drain"}`. The post-drain ledger and per-connection
-/// accounting go to stderr; `--json` additionally prints the report as JSON
-/// on stdout.
+/// `lorentz serve --listen`: put the TCP front end on the engine — a
+/// leader's, or with `--follow` a standby's. Binds the address, prints
+/// `listening on <addr>` to stderr (port 0 resolves to the kernel-assigned
+/// port, so harnesses can parse it), and serves persistent connections
+/// speaking the length-prefixed JSON frame protocol until a client sends
+/// `{"op": "drain"}`. The post-drain ledger and per-connection accounting
+/// go to stderr (a standby adds its `followed …` replication line);
+/// `--json` additionally prints the report as JSON on stdout.
 fn serve_listen(
     args: &Args,
     deployment: Arc<TrainedLorentz>,
     config: ServeConfig,
     addr: &str,
 ) -> Result<(), CliError> {
+    let follow = args.get("follow").map(Endpoint::parse).transpose()?;
     let listener = std::net::TcpListener::bind(addr).map_err(|e| CliError::io(addr, e))?;
     let local = listener.local_addr().map_err(|e| CliError::io(addr, e))?;
+    let net_config = NetConfig {
+        max_frame_len: args.get_parse_or("max-frame-len", NetConfig::default().max_frame_len)?,
+    };
+    if let Some(endpoint) = follow {
+        let follower = start_follower(args, deployment, config, &endpoint)?;
+        eprintln!("listening on {local} ({} shards)", config.shards);
+        let report = serve_net(follower.engine(), listener, net_config)
+            .map_err(|e| CliError::io(addr, e))?;
+        // Stop tailing first, so the λ epoch printed below is final.
+        let stats = follower.stop();
+        print_net_report(args, &report)?;
+        let engine = follower.engine();
+        let state = match follower.state() {
+            ReplicaState::Following => "following".to_owned(),
+            ReplicaState::Leader => "leader".to_owned(),
+            ReplicaState::Halted(why) => format!("halted: {why}"),
+            ReplicaState::Demoted { term, observed } => {
+                format!("demoted (term {term} fenced by term {observed})")
+            }
+        };
+        eprintln!(
+            "followed {endpoint}: {} deltas applied (lambda v{}, last epoch {}); \
+             state {state}, term {}, {} duplicates",
+            stats.applied,
+            engine.lambda_version(),
+            stats.last_epoch,
+            engine.leader_term(),
+            stats.duplicates
+        );
+        // The engine drains with the follower, before the metrics
+        // snapshot, as a leader's does.
+        drop(follower);
+        return write_metrics(args);
+    }
     // Connections answer reads on their own threads; the pool the engine
     // starts beside them serves no TCP request, so its answers go unread.
     let (engine, _) = match args.get("feedback-wal") {
         Some(wal_path) => ServingEngine::start_with_wal(Arc::clone(&deployment), config, wal_path)?,
         None => ServingEngine::start(Arc::clone(&deployment), config)?,
-    };
-    let net_config = NetConfig {
-        max_frame_len: args.get_parse_or("max-frame-len", NetConfig::default().max_frame_len)?,
     };
     // Replication fanout rides on its own listener so follower traffic
     // never mixes with client frames.
@@ -788,8 +824,53 @@ fn serve_listen(
         None => None,
     };
     eprintln!("listening on {local} ({} shards)", config.shards);
-    let report =
-        serve_net(deployment, engine, listener, net_config).map_err(|e| CliError::io(addr, e))?;
+    let report = serve_net(&engine, listener, net_config).map_err(|e| CliError::io(addr, e))?;
+    engine.drain();
+    print_net_report(args, &report)?;
+    write_metrics(args)
+}
+
+/// Starts a standby subscribed to a leader's `tcp://HOST:PORT` replication
+/// listener. It catches up on the leader's stream before returning (so the
+/// first answer already reflects every durable signal) and then applies λ
+/// deltas as they arrive. `--replica-wal` persists the stream and
+/// `--promote-listen` arms promotion on it.
+fn start_follower(
+    args: &Args,
+    deployment: Arc<TrainedLorentz>,
+    serve: ServeConfig,
+    endpoint: &Endpoint,
+) -> Result<FollowerEngine, CliError> {
+    let mut config = FollowerConfig {
+        serve,
+        local_wal: args.get("replica-wal").map(Into::into),
+        promote: None,
+    };
+    if let Some(listen) = args.get("promote-listen") {
+        if config.local_wal.is_none() {
+            return Err(CliError::Usage(
+                "--promote-listen requires --replica-wal (the promoted leader leads on it)"
+                    .to_owned(),
+            ));
+        }
+        config.promote = Some(PromoteConfig {
+            listen: Some(listen.to_owned()),
+            detection_timeout: Duration::from_millis(args.get_parse_or("promote-after-ms", 1000)?),
+        });
+    }
+    let follower = FollowerEngine::start_tcp(deployment, endpoint.as_tcp(), config)?;
+    // Catch-up is complete: harnesses sequencing a leader kill can wait
+    // for this line.
+    eprintln!(
+        "following {endpoint} (caught up to epoch {})",
+        follower.stats().last_epoch
+    );
+    Ok(follower)
+}
+
+/// Prints a drained TCP front end's engine ledger, net accounting and
+/// term to stderr, and with `--json` the same report as JSON on stdout.
+fn print_net_report(args: &Args, report: &NetReport) -> Result<(), CliError> {
     let stats = report.engine;
     eprintln!(
         "served {} requests against store v{}: \
@@ -857,145 +938,7 @@ fn serve_listen(
             serde_json::to_string_pretty(&serde::Value::Map(fields))?
         );
     }
-    write_metrics(args)
-}
-
-/// `lorentz serve --follow`: run the replication follower against a
-/// leader's `tcp://HOST:PORT` replication listener. The follower catches
-/// up on the leader's stream before serving (so the first answer already
-/// reflects every durable signal), applies λ deltas as they arrive, and
-/// serves requests from the replicated epochs. Feedback lines are
-/// rejected while following — only the leader mints epochs — but accepted
-/// after a promotion (`--promote-listen`) flips this replica into a
-/// serving leader.
-fn serve_follow(
-    args: &Args,
-    deployment: Arc<TrainedLorentz>,
-    lines: Vec<ServeLine>,
-    serve: ServeConfig,
-    endpoint: &Endpoint,
-) -> Result<(), CliError> {
-    use serde::Serialize;
-    let mut config = FollowerConfig {
-        serve,
-        local_wal: args.get("replica-wal").map(Into::into),
-        promote: None,
-    };
-    if let Some(listen) = args.get("promote-listen") {
-        if config.local_wal.is_none() {
-            return Err(CliError::Usage(
-                "--promote-listen requires --replica-wal (the promoted leader leads on it)"
-                    .to_owned(),
-            ));
-        }
-        config.promote = Some(PromoteConfig {
-            listen: Some(listen.to_owned()),
-            detection_timeout: Duration::from_millis(args.get_parse_or("promote-after-ms", 1000)?),
-        });
-    }
-    let follower = FollowerEngine::start_tcp(deployment, endpoint.as_tcp(), config)?;
-    // Catch-up is complete: harnesses sequencing a leader kill can wait
-    // for this line.
-    eprintln!(
-        "following {endpoint} (caught up to epoch {})",
-        follower.stats().last_epoch
-    );
-    if args.has_switch("await-promotion") {
-        // Harness hook: block until the leader dies and this replica wins
-        // the promotion, then serve the request lines as the new leader.
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while !follower.is_leader() {
-            if std::time::Instant::now() >= deadline {
-                return Err(CliError::InvalidInput(
-                    "timed out waiting for promotion (is --promote-listen set?)".to_owned(),
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        eprintln!("promoted to leader; serving the replicated lambda, feedback open");
-    }
-    let mut rows: Vec<serde::Value> = Vec::new();
-    let mut served = 0u64;
-    let mut feedback_rejected = 0u64;
-    let mut feedback_applied = 0u64;
-    for line in lines {
-        match line {
-            ServeLine::Request(request) => {
-                let id = request.id;
-                let (result, latency_ns) = match follower.engine().answer(request) {
-                    Ok(response) => (response.result, response.latency_ns),
-                    Err(e) => (Err(e), 0),
-                };
-                served += 1;
-                if args.has_switch("json") {
-                    let mut fields = vec![("id".to_owned(), serde::Value::UInt(id))];
-                    match &result {
-                        Ok(rec) => fields.push(("ok".to_owned(), rec.to_value())),
-                        Err(e) => {
-                            fields.push(("error".to_owned(), serde::Value::Str(e.to_string())));
-                        }
-                    }
-                    fields.push(("degraded".to_owned(), serde::Value::Bool(false)));
-                    fields.push(("latency_ns".to_owned(), serde::Value::UInt(latency_ns)));
-                    rows.push(serde::Value::Map(fields));
-                } else {
-                    match &result {
-                        Ok(rec) => println!("[{id}] {rec}"),
-                        Err(e) => println!("[{id}] error: {e}"),
-                    }
-                }
-            }
-            ServeLine::Feedback(signal) => match follower.submit_feedback(signal) {
-                Ok(()) => feedback_applied += 1,
-                Err(_) => {
-                    feedback_rejected += 1;
-                    if !args.has_switch("json") {
-                        println!("[feedback] rejected: follower is read-only");
-                    }
-                }
-            },
-        }
-    }
-    if args.has_switch("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde::Value::Seq(rows))?
-        );
-    }
-    // Chaos/standby hook: stay alive (tailing, promotable, serving the
-    // promoted listener) for a fixed window before the graceful stop.
-    if let Some(run_ms) = parse_opt_flag::<u64>(args, "run-ms")? {
-        let deadline = std::time::Instant::now() + Duration::from_millis(run_ms);
-        while std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-    let lambda_version = follower.engine().lambda_version();
-    let promoted = follower.is_leader();
-    let term = follower.engine().leader_term();
-    let state_label = match follower.state() {
-        lorentz_serve::ReplicaState::Following => "following".to_owned(),
-        lorentz_serve::ReplicaState::Leader => "leader".to_owned(),
-        lorentz_serve::ReplicaState::Halted(why) => format!("halted: {why}"),
-        lorentz_serve::ReplicaState::Demoted { term, observed } => {
-            format!("demoted (term {term} fenced by term {observed})")
-        }
-    };
-    let stats = follower.stop();
-    // Status goes to stderr so stdout stays machine-readable answers.
-    let applied_note = if promoted {
-        format!(", {feedback_applied} feedback applied (promoted leader)")
-    } else {
-        String::new()
-    };
-    eprintln!(
-        "followed {endpoint}: {} deltas applied, {} skipped \
-         (lambda v{lambda_version}, last epoch {}); served {served} requests, \
-         {feedback_rejected} feedback rejected (read-only){applied_note}; \
-         state {state_label}, term {term}, {} duplicates",
-        stats.applied, stats.skipped, stats.last_epoch, stats.duplicates
-    );
-    write_metrics(args)
+    Ok(())
 }
 
 /// `lorentz wal-verify`: walk a feedback WAL read-only and report a
@@ -1225,7 +1168,6 @@ pub fn chaos(args: &Args) -> Result<(), CliError> {
     config.model = args.get("model").map(Into::into);
     config.work_dir = args.get("work-dir").map(Into::into);
     config.standbys = args.get_parse_or("standbys", config.standbys)?;
-    config.run_ms = args.get_parse_or("run-ms", config.run_ms)?;
     config.promote_after_ms = args.get_parse_or("promote-after-ms", config.promote_after_ms)?;
     config.keep_work_dir = args.has_switch("keep-dirs");
     if config.standbys < 2 {
@@ -1649,8 +1591,8 @@ mod tests {
                 "serve",
                 "--model",
                 &model_path,
-                "--requests",
-                &stream_path,
+                "--listen",
+                "127.0.0.1:0",
                 "--follow",
                 &follow,
             ]))
@@ -1704,8 +1646,8 @@ mod tests {
             "serve --model m --listen a --shards 8 --workers 2 --json --metrics-out x \
              --feedback-wal w --replicate-listen r --max-frame-len 9 --queue-capacity 1 \
              --degraded-at 1 --deadline-ms 1 --kind k",
-            "serve --model m --requests r --follow f --replica-wal w --promote-listen p \
-             --promote-after-ms 1 --run-ms 1 --await-promotion --json",
+            "serve --model m --listen a --follow f --replica-wal w --promote-listen p \
+             --promote-after-ms 1 --shards 2 --json --metrics-out x",
             "generate --servers 1 --seed 1 --out o",
             "train --fleet f --out o --trees 1 --min-bucket 1 --stage2-threads 2 \
              --metrics-out x --store-dir d",

@@ -15,28 +15,52 @@ fn an_unknown_flag_exits_with_the_usage_status_and_names_the_flag() {
 }
 
 #[test]
-fn listen_with_follow_is_a_usage_error_naming_both_flags() {
+fn listen_with_follow_against_an_unreachable_upstream_fails_and_starts_no_server() {
+    let model = std::env::temp_dir().join(format!("lorentz-usage-{}.json", std::process::id()));
+    lorentz_chaos::build_fixture(&model).expect("train the model fixture");
+    let output = Command::new(env!("CARGO_BIN_EXE_lorentz"))
+        .args(["serve", "--model"])
+        .arg(&model)
+        .args(["--listen", "127.0.0.1:0", "--follow", "tcp://127.0.0.1:1"])
+        .output()
+        .expect("spawn lorentz serve");
+    let _ = std::fs::remove_file(&model);
+    assert_eq!(output.status.code(), Some(1), "a runtime error");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("replication failed"), "{stderr}");
+    assert!(!stderr.contains("listening on"), "nothing served: {stderr}");
+}
+
+/// Runs `lorentz serve --model model.json --follow tcp://127.0.0.1:1`
+/// plus `extra`, which must fail on its flags before reading the model.
+fn standby_usage_error(extra: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_lorentz"))
         .args([
             "serve",
             "--model",
             "model.json",
-            "--listen",
-            "127.0.0.1:0",
             "--follow",
             "tcp://127.0.0.1:1",
         ])
+        .args(extra)
         .output()
         .expect("spawn lorentz serve");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("--listen") && stderr.contains("--follow"),
-        "{stderr}"
-    );
-    assert!(
-        !stderr.contains("listening on"),
-        "no server started: {stderr}"
-    );
+    assert_eq!(output.status.code(), Some(2), "{extra:?}");
     assert!(output.stdout.is_empty(), "nothing ran");
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+#[test]
+fn follow_without_listen_is_a_usage_error_naming_listen() {
+    let stderr = standby_usage_error(&[]);
+    assert!(stderr.contains("--listen"), "{stderr}");
+}
+
+#[test]
+fn the_retired_standby_forms_are_usage_errors() {
+    let listen = ["--listen", "127.0.0.1:0"];
+    for flag in ["--requests", "--await-promotion", "--run-ms"] {
+        let stderr = standby_usage_error(&[&listen[..], &[flag, "1"]].concat());
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
 }

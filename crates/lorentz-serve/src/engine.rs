@@ -54,7 +54,7 @@ struct State {
     feedback_tx: Option<Sender<FeedbackMsg>>,
     /// The standby role: the λ-state advances only by the leader's
     /// replicated deltas and feedback is refused as
-    /// [`ServeError::Draining`], until [`ServingEngine::promote`] makes
+    /// [`ServeError::NotLeader`], until [`ServingEngine::promote`] makes
     /// this engine the leader.
     following: bool,
     stats: EngineStats,
@@ -376,9 +376,9 @@ impl ServingEngine {
     /// # Errors
     /// [`ServeError::Fenced`] once a higher-term leader has been observed
     /// (accepting the signal would fork the WAL lineage);
-    /// [`ServeError::Draining`] after [`ServingEngine::drain`] has begun,
-    /// and on a standby that has not promoted (only the leader mints λ
-    /// epochs).
+    /// [`ServeError::NotLeader`] on a standby that has not promoted (only
+    /// the leader mints λ epochs); [`ServeError::Draining`] after
+    /// [`ServingEngine::drain`] has begun.
     pub fn submit_feedback(&self, signal: SatisfactionSignal) -> Result<(), ServeError> {
         if let Some(observed) = self.shared.replication.fenced_by() {
             obs::ENGINE_REPLICATION_FENCED.inc();
@@ -388,7 +388,10 @@ impl ServingEngine {
             });
         }
         let mut state = self.shared.state.lock().expect("engine state poisoned");
-        let open = state.intake_open && !state.following;
+        if state.following {
+            return Err(ServeError::NotLeader);
+        }
+        let open = state.intake_open;
         let Some(tx) = state.feedback_tx.as_ref().filter(|_| open) else {
             return Err(ServeError::Draining);
         };
@@ -478,6 +481,11 @@ impl ServingEngine {
         self.shared.wal_path.get().cloned()
     }
 
+    /// The deployment the engine serves.
+    pub(crate) fn deployment(&self) -> &TrainedLorentz {
+        &self.shared.deployment
+    }
+
     /// The live λ store, which a standby advances with its leader's
     /// deltas.
     pub(crate) fn lambdas(&self) -> &ShardedLambdaStore {
@@ -494,25 +502,18 @@ impl ServingEngine {
             .map_err(EngineError::Config)
     }
 
-    /// Makes a following engine the leader of its lineage, on the λ it
-    /// already serves: opens the replica WAL at `wal_path` (every frame
-    /// the standby applied, persisted before it was applied), mints a term
-    /// strictly above every term recovered from it and `observed_term`,
-    /// makes that term durable as a WAL marker, hands the WAL to the
-    /// running λ-writer and opens feedback intake. The WAL's signals are
-    /// not re-run: the λ-state already is the delta chain they produced,
-    /// so readers never see a reset λ. Returns the new term.
-    ///
-    /// # Errors
-    /// [`EngineError::Wal`] when the WAL cannot be opened or the marker
-    /// appended; the engine then keeps following.
-    pub(crate) fn promote(&self, wal_path: &Path, observed_term: u64) -> Result<u64, EngineError> {
-        let (mut wal, recovery) = SignalWal::open(wal_path)?;
-        let term = recovery.last_term.max(observed_term) + 1;
-        wal.append_term(term)?;
+    /// Makes a following engine the leader of its lineage at `term`, on
+    /// the λ it already serves: `wal` is the standby's replica log (every
+    /// frame it applied, persisted before it was applied, up to
+    /// `last_epoch`), whose term-`term` marker the caller has already made
+    /// durable. The WAL goes to the running λ-writer, the epoch numbering
+    /// continues past `last_epoch`, and feedback intake opens. The WAL's
+    /// signals are not re-run: the λ-state already is the delta chain they
+    /// produced, so readers never see a reset λ.
+    pub(crate) fn promote(&self, wal: SignalWal, last_epoch: u64, term: u64) {
         let shared = &self.shared;
-        shared.lambdas.restore_epoch(recovery.last_epoch);
-        shared.replication.set_last_epoch(recovery.last_epoch);
+        shared.lambdas.restore_epoch(last_epoch);
+        shared.replication.set_last_epoch(last_epoch);
         shared.replication.set_term(term);
         let _ = shared.wal_path.set(wal.path().to_path_buf());
         let mut state = shared.state.lock().expect("engine state poisoned");
@@ -521,7 +522,6 @@ impl ServingEngine {
             let _ = tx.send(FeedbackMsg::Wal(Box::new(wal)));
         }
         state.following = false;
-        Ok(term)
     }
 
     /// Atomically re-publishes the degraded-path store with zero reader

@@ -15,9 +15,11 @@
 //!
 //! While following, the engine is **read-only by construction**: only the
 //! leader mints epochs; the follower replays them, and feedback is refused
-//! with [`ServeError::Draining`]. Startup is catch-up-then-serve: the
-//! constructors drain the source to its current end before returning, so
-//! the first recommendation already reflects every durable signal.
+//! with [`ServeError::NotLeader`](crate::ServeError::NotLeader) — kind
+//! `not_leader` on the wire, where the standby's clients reach it through
+//! [`crate::serve_net`] like a leader's. Startup is catch-up-then-serve:
+//! the constructors drain the source to its current end before returning,
+//! so the first recommendation already reflects every durable signal.
 //!
 //! A follower configured with [`FollowerConfig::local_wal`] persists each
 //! received frame verbatim (the frames are byte-identical to the leader's
@@ -34,16 +36,18 @@
 //! **Promotion**: with [`FollowerConfig::promote`] set (which requires a
 //! local WAL), a follower that loses its leader for longer than
 //! [`PromoteConfig::detection_timeout`] promotes itself. Promotion is a
-//! role change of the one engine, not a second engine: it reopens the
-//! local WAL, mints a term, hands the WAL to the running λ-writer and
-//! opens feedback. It does not re-run the WAL's signals — the λ already is
+//! role change of the one engine, not a second engine: it mints a term,
+//! makes it durable as a marker in the replica WAL the tail thread already
+//! holds, hands that WAL to the running λ-writer and opens feedback. It
+//! does not re-run the WAL's signals — the λ already is
 //! the delta chain persisted frame by frame — so readers never see a
 //! reset λ. The promoted engine starts its own replication listener and
 //! the replica flips to [`ReplicaState::Leader`]: recommendations keep
-//! flowing and [`FollowerEngine::submit_feedback`] starts accepting. When
-//! several standbys race, the OS arbitrates exactly-once promotion through
-//! [`PromoteConfig::listen`]: binding the address is the election, and
-//! the losers re-subscribe to the winner as their new upstream.
+//! flowing and the engine's [`ServingEngine::submit_feedback`] starts
+//! accepting. When several standbys race, the OS arbitrates exactly-once
+//! promotion through [`PromoteConfig::listen`]: binding the address is the
+//! election, and the losers re-subscribe to the winner as their new
+//! upstream.
 //!
 //! **Term fencing**: promotion mints a leader term strictly above every
 //! term the follower recovered or observed, so when a partition heals the
@@ -55,18 +59,18 @@
 //! thread — which stays alive after promotion precisely as this watchdog —
 //! flips the state to [`ReplicaState::Demoted`] and shuts the listener
 //! down, while the engine keeps serving reads and refuses feedback with
-//! [`ServeError::Fenced`].
+//! [`ServeError::Fenced`](crate::ServeError::Fenced).
 
 use crate::engine::ServingEngine;
 use crate::replication::{
     serve_replication, ReplicationConfig, ReplicationError, ReplicationListener, ReplicationSource,
     SourcePoll, SourcedEntry, TcpSource,
 };
-use crate::types::{EngineError, ServeConfig, ServeError};
+use crate::types::{EngineError, ServeConfig};
 use lorentz_core::obs;
 use lorentz_core::personalizer::{wal, PollBackoff, WalEntry};
-use lorentz_core::{SatisfactionSignal, SignalWal, StoreError, TrainedLorentz};
-use lorentz_types::{DeltaCorruption, HandshakeRejection, LorentzError};
+use lorentz_core::{SignalWal, StoreError, TrainedLorentz};
+use lorentz_types::{HandshakeRejection, LorentzError};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -121,9 +125,6 @@ pub struct FollowerConfig {
 pub struct FollowerStats {
     /// Delta records applied to the local λ store.
     pub applied: u64,
-    /// Records skipped because applying them failed for a reason other
-    /// than a stale epoch.
-    pub skipped: u64,
     /// Re-delivered records whose epoch the local store had already
     /// passed — resume overlap after a reconnect. Applying is idempotent:
     /// each is dropped without touching λ.
@@ -154,8 +155,8 @@ pub enum ReplicaState {
     /// Promoted, then superseded: a leader at a strictly higher term was
     /// observed and this replica fenced itself. Reads keep answering from
     /// the λ-state at the moment of demotion; feedback is refused with
-    /// [`ServeError::Fenced`]; the local WAL is frozen (no divergence past
-    /// the fence point).
+    /// [`ServeError::Fenced`](crate::ServeError::Fenced); the local WAL is
+    /// frozen (no divergence past the fence point).
     Demoted {
         /// The term this replica held as a leader.
         term: u64,
@@ -309,26 +310,6 @@ impl FollowerEngine {
         &self.shared.engine
     }
 
-    /// Offers one satisfaction signal to the engine and, when it is
-    /// accepted, waits until its λ publish lands, so the caller reads its
-    /// own write. Only a promoted replica accepts: only the leader mints λ
-    /// epochs.
-    ///
-    /// # Errors
-    /// [`ServeError::Draining`] while the replica is (still) a follower;
-    /// [`ServeError::Fenced`] after it was promoted and then superseded by
-    /// a higher-term leader.
-    pub fn submit_feedback(&self, signal: SatisfactionSignal) -> Result<(), ServeError> {
-        self.shared.engine.submit_feedback(signal)?;
-        self.shared.engine.flush_feedback();
-        Ok(())
-    }
-
-    /// Whether this replica has promoted itself to a serving leader.
-    pub fn is_leader(&self) -> bool {
-        matches!(self.state(), ReplicaState::Leader)
-    }
-
     /// The replica's lifecycle state.
     pub fn state(&self) -> ReplicaState {
         self.shared
@@ -344,10 +325,10 @@ impl FollowerEngine {
     }
 
     /// Stops tailing (and any promoted listener), returning the final
-    /// replication ledger; the engine drains when the follower drops.
-    /// Idempotent with [`Drop`]; records appended after this are not
-    /// applied.
-    pub fn stop(self) -> FollowerStats {
+    /// replication ledger. The engine keeps answering reads from the λ it
+    /// reached and drains when the follower drops. Idempotent with
+    /// [`Drop`]; records appended after this are not applied.
+    pub fn stop(&self) -> FollowerStats {
         self.shutdown();
         self.stats()
     }
@@ -381,8 +362,8 @@ enum PromotionOutcome {
     /// Another replica bound the promotion address first; re-subscribe to
     /// it at the returned address.
     LostRace(String),
-    /// The attempt failed (bind error, WAL open failure); retry after the
-    /// next detection timeout.
+    /// The attempt failed (bind error, term marker append failure); retry
+    /// after the next detection timeout.
     Failed,
 }
 
@@ -476,14 +457,6 @@ fn tail_loop(
                         }
                         PromotionOutcome::Failed => {}
                     }
-                    if local_wal.is_none() {
-                        local_wal = match open_local_wal(shared) {
-                            Ok(wal) => wal,
-                            Err(e) => {
-                                return halt(shared, format!("replica WAL reopen failed: {e}"))
-                            }
-                        };
-                    }
                 }
             }
         }
@@ -545,9 +518,8 @@ impl ReplicaWal {
     }
 }
 
-/// Opens (replaying and truncating a torn tail) the configured local WAL —
-/// at start, and again after a promotion attempt that closed it but did
-/// not promote. `Ok(None)` when no local WAL is configured.
+/// Opens (replaying and truncating a torn tail) the configured local WAL
+/// at start. `Ok(None)` when no local WAL is configured.
 fn open_local_wal(shared: &FollowerShared) -> Result<Option<ReplicaWal>, StoreError> {
     match &shared.config.local_wal {
         Some(path) => {
@@ -574,10 +546,11 @@ fn local_entries(bytes: &[u8]) -> Vec<SourcedEntry> {
 }
 
 /// One promotion attempt: win the bind election (when a listen address is
-/// configured), close the replica WAL handle so the λ-writer is its one
-/// writer, promote the engine on that WAL — minting a leader term strictly
-/// above `observed_term` and everything in the WAL — start the
-/// replication listener, and flip the replica state.
+/// configured), mint a leader term strictly above `observed_term` and
+/// every marker in the replica WAL, make it durable there, hand that WAL
+/// to the engine as its leader log, start the replication listener, and
+/// flip the replica state. A failed marker append keeps the WAL here for
+/// the next attempt.
 fn try_promote(
     shared: &FollowerShared,
     promote: &PromoteConfig,
@@ -594,13 +567,20 @@ fn try_promote(
         },
         None => None,
     };
-    let Some(path) = &shared.config.local_wal else {
+    let Some(local) = local_wal.as_mut() else {
         return PromotionOutcome::Failed;
     };
-    drop(local_wal.take());
-    if shared.engine.promote(path, observed_term).is_err() {
+    let term = local.last_term.max(observed_term) + 1;
+    if local.wal.append_term(term).is_err() {
         return PromotionOutcome::Failed;
     }
+    let local = local_wal.take().expect("checked above");
+    let last_epoch = shared
+        .stats
+        .lock()
+        .expect("follower stats poisoned")
+        .last_epoch;
+    shared.engine.promote(local.wal, last_epoch, term);
     let listener = listener.and_then(|listener| {
         serve_replication(&shared.engine, listener, ReplicationConfig::default()).ok()
     });
@@ -646,15 +626,13 @@ fn apply_sourced(
                         stats.applied += 1;
                         obs::ENGINE_REPLICATION_APPLIED.inc();
                     }
-                    // A stale epoch is a re-delivery (resume overlap after
-                    // a reconnect), not damage: the apply is idempotent and
-                    // the record is dropped.
-                    Err(DeltaCorruption::EpochRegression { .. }) => {
+                    // The only refusal is a non-advancing epoch: a
+                    // re-delivery (resume overlap after a reconnect), not
+                    // damage. The apply is idempotent and the record is
+                    // dropped.
+                    Err(_) => {
                         stats.duplicates += 1;
                         obs::ENGINE_REPLICATION_DUPLICATES.inc();
-                    }
-                    Err(_) => {
-                        stats.skipped += 1;
                     }
                 }
             }
@@ -692,8 +670,9 @@ fn full_resync(
 mod tests {
     use super::*;
     use crate::engine::PANIC_ID;
-    use crate::types::ServeRequest;
+    use crate::types::{ServeError, ServeRequest};
     use lorentz_core::personalizer::WalRecord;
+    use lorentz_core::SatisfactionSignal;
     use lorentz_fault::{Fault, FaultyIo, Op, RealIo};
     use lorentz_types::{
         CustomerId, LambdaDelta, PathKey, ResourceGroupId, ResourcePath, ServerOffering,

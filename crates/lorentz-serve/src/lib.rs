@@ -57,7 +57,8 @@
 //!   [`FollowerEngine::start_tcp`] subscribes through a [`TcpSource`]
 //!   (over loopback on the leader's machine), catches up, and serves from
 //!   the replicated epochs through its own [`ServingEngine`], held in a
-//!   following role that refuses feedback — applying the framed deltas to
+//!   following role that refuses feedback with [`ServeError::NotLeader`]
+//!   — applying the framed deltas to
 //!   that engine's λ store converges bit-for-bit without re-running
 //!   propagation, whatever either side's shard count. It persists
 //!   received frames to a local WAL (byte-identical to the leader's)
@@ -89,9 +90,11 @@
 //!   TCP connections speaking the length-prefixed JSON frame protocol in
 //!   [`wire`]: one acceptor, and one thread per connection that answers
 //!   each request it reads through [`ServingEngine::answer`] and writes
-//!   the replies of a pipelined burst with one `write`. A drain frame
-//!   closes the ledger exactly. Per-connection traffic lands in the
-//!   `engine.net.*` obs metrics and the final [`NetReport`].
+//!   the replies of a pipelined burst with one `write`. It borrows the
+//!   engine, so it serves a leader and a standby's
+//!   [`FollowerEngine::engine`] alike. A drain frame closes the ledger
+//!   exactly. Per-connection traffic lands in the `engine.net.*` obs
+//!   metrics and the final [`NetReport`].
 //!
 //! All of it threads through the process-wide `lorentz_core::obs` metrics
 //! (`engine.*` counters, queue-depth gauge, end-to-end latency histogram),

@@ -13,12 +13,21 @@
 //! only after the publish lands, so a request behind it on the same
 //! connection serves under the new λ.
 //!
+//! [`serve_net`] borrows the engine, so one loop serves every role: a
+//! leader's engine, and a standby's
+//! [`FollowerEngine::engine`](crate::FollowerEngine::engine) before and
+//! after it promotes. Feedback to a standby that has not promoted is
+//! answered with kind `not_leader`; every other refused signal with kind
+//! `rejected`.
+//!
 //! Graceful drain: a `{"op": "drain"}` frame (from any connection) is
 //! acked, sets the stop flag and connects once to the listener to wake
 //! the acceptor. Every connection's read side is then shut down; each
-//! thread writes what it answered and exits, and the engine drains. The
-//! final [`NetReport`] carries the engine's exact ledger plus the
-//! per-connection accounting, mirrored into the `engine.net.*` metrics.
+//! thread writes what it answered and exits, and the λ-writer applies
+//! every signal accepted so far. The final [`NetReport`] carries the
+//! engine's exact ledger plus the per-connection accounting, mirrored
+//! into the `engine.net.*` metrics. The engine itself keeps running: the
+//! caller drains or stops it.
 //!
 //! Failure semantics per connection:
 //! * clean close / half-open peer → everything read is answered first;
@@ -31,16 +40,15 @@
 //! * a handler panic → a `serve` error frame, connection stays open.
 
 use crate::engine::ServingEngine;
-use crate::types::EngineStats;
+use crate::types::{EngineStats, ServeError};
 use crate::wire::{self, ClientFrame, WireError};
-use lorentz_core::{obs, TrainedLorentz};
+use lorentz_core::obs;
 use lorentz_types::framing::{Decoded, FrameCodec, ABSOLUTE_MAX_PAYLOAD};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
 /// Reply bytes a connection buffers before writing them even though more
 /// whole frames are waiting to be answered.
@@ -67,8 +75,9 @@ impl Default for NetConfig {
 /// after the drain completes.
 #[derive(Debug, Clone, Copy)]
 pub struct NetReport {
-    /// The engine's exact post-drain ledger
-    /// (`submitted = accepted + rejected`, `accepted = answered`).
+    /// The engine's exact ledger once every connection closed and every
+    /// accepted signal was applied (`submitted = accepted + rejected`,
+    /// `accepted = answered`, `feedback_accepted = feedback_applied`).
     pub engine: EngineStats,
     /// Prediction-store version at drain time.
     pub store_version: u64,
@@ -108,7 +117,6 @@ struct Counters {
 
 /// State shared by the acceptor and the connection threads.
 struct Ctx {
-    deployment: Arc<TrainedLorentz>,
     /// Set by a drain frame; the acceptor checks it after every accept.
     stop: AtomicBool,
     /// Where the draining thread connects to wake the blocked acceptor.
@@ -163,29 +171,63 @@ pub(crate) fn wake_addr(mut local: SocketAddr) -> SocketAddr {
 }
 
 /// Runs the TCP front end over an already-bound listener until a client
-/// sends `{"op": "drain"}`, then drains the engine and returns the
-/// combined report. Blocks the calling thread for the server's lifetime.
+/// sends `{"op": "drain"}`, then closes every connection, waits for the
+/// λ-writer to apply every accepted signal, and returns the combined
+/// report. Blocks the calling thread for the server's lifetime. The
+/// engine is borrowed and left running: the caller drains or stops it.
 ///
 /// # Errors
 /// Only listener-level I/O errors (e.g. the socket being closed under the
 /// acceptor) are fatal; per-connection errors are counted and contained.
+/// Either way every connection is closed before this returns.
 pub fn serve_net(
-    deployment: Arc<TrainedLorentz>,
-    engine: ServingEngine,
+    engine: &ServingEngine,
     listener: TcpListener,
     config: NetConfig,
 ) -> std::io::Result<NetReport> {
-    let engine = Arc::new(engine);
-    let ctx = Arc::new(Ctx {
-        deployment,
+    let ctx = Ctx {
         stop: AtomicBool::new(false),
         wake_addr: wake_addr(listener.local_addr()?),
         conns: Mutex::new(HashMap::new()),
         counters: Counters::default(),
         max_frame_len: config.max_frame_len,
-    });
+    };
+    std::thread::scope(|scope| {
+        let accepted = accept_loop(&ctx, engine, &listener, scope);
+        // Drain: half-close every read side so each connection thread stops
+        // at its next blocking read, having answered and written everything
+        // it read before. The scope joins them on the way out.
+        for stream in ctx.conns.lock().expect("net conns poisoned").values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        accepted
+    })?;
+    // No connection is left to admit a request: the ledger is final once
+    // the λ-writer has applied every accepted signal.
+    engine.flush_feedback();
+    Ok(NetReport {
+        engine: engine.stats(),
+        store_version: engine.store_version(),
+        lambda_version: engine.lambda_version(),
+        leader_term: engine.leader_term(),
+        fenced_by: engine.fenced_by(),
+        connections: ctx.counters.connections.load(Ordering::Relaxed),
+        frames_in: ctx.counters.frames_in.load(Ordering::Relaxed),
+        frames_out: ctx.counters.frames_out.load(Ordering::Relaxed),
+        frame_errors: ctx.counters.frame_errors.load(Ordering::Relaxed),
+        disconnects: ctx.counters.disconnects.load(Ordering::Relaxed),
+        dropped_responses: ctx.counters.dropped_responses.load(Ordering::Relaxed),
+    })
+}
 
-    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+/// Accepts connections, each onto its own thread in `scope`, until a
+/// drain sets the stop flag.
+fn accept_loop<'scope>(
+    ctx: &'scope Ctx,
+    engine: &'scope ServingEngine,
+    listener: &TcpListener,
+    scope: &'scope std::thread::Scope<'scope, '_>,
+) -> std::io::Result<()> {
     let mut next_conn_id = 0u64;
     loop {
         let stream = match listener.accept() {
@@ -196,7 +238,7 @@ pub fn serve_net(
         if ctx.stop.load(Ordering::Acquire) {
             // The drain's wake-up connection (or a client racing the
             // drain): dropped uncounted.
-            break;
+            return Ok(());
         }
         let _ = stream.set_nodelay(true);
         let conn_id = next_conn_id;
@@ -208,46 +250,10 @@ pub fn serve_net(
             .lock()
             .expect("net conns poisoned")
             .insert(conn_id, stream.try_clone()?);
-        let ctx = Arc::clone(&ctx);
-        let engine = Arc::clone(&engine);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("lorentz-net-conn-{conn_id}"))
-                .spawn(move || conn_loop(&ctx, &engine, conn_id, stream))?,
-        );
+        std::thread::Builder::new()
+            .name(format!("lorentz-net-conn-{conn_id}"))
+            .spawn_scoped(scope, move || conn_loop(ctx, engine, conn_id, stream))?;
     }
-
-    // Drain: half-close every read side so each connection thread stops
-    // at its next blocking read, having answered and written everything
-    // it read before.
-    for stream in ctx.conns.lock().expect("net conns poisoned").values() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for thread in threads {
-        let _ = thread.join();
-    }
-    // Every connection thread is gone, so no new requests: drain the
-    // engine (the λ-writer finishes every accepted signal).
-    let engine = Arc::try_unwrap(engine)
-        .unwrap_or_else(|_| unreachable!("connection threads joined, no engine clones remain"));
-    let store_version = engine.store_version();
-    let lambda_version = engine.lambda_version();
-    let leader_term = engine.leader_term();
-    let fenced_by = engine.fenced_by();
-    let stats = engine.drain();
-    Ok(NetReport {
-        engine: stats,
-        store_version,
-        lambda_version,
-        leader_term,
-        fenced_by,
-        connections: ctx.counters.connections.load(Ordering::Relaxed),
-        frames_in: ctx.counters.frames_in.load(Ordering::Relaxed),
-        frames_out: ctx.counters.frames_out.load(Ordering::Relaxed),
-        frame_errors: ctx.counters.frame_errors.load(Ordering::Relaxed),
-        disconnects: ctx.counters.disconnects.load(Ordering::Relaxed),
-        dropped_responses: ctx.counters.dropped_responses.load(Ordering::Relaxed),
-    })
 }
 
 /// One connection's reply frames that are not written yet.
@@ -291,6 +297,7 @@ impl Replies {
 /// module docs for when the buffer is written and the error semantics).
 fn conn_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStream) {
     let codec = FrameCodec::wire(ctx.max_frame_len);
+    let schema = engine.deployment().profiles().schema();
     let mut reader = BufReader::new(stream);
     let mut replies = Replies::default();
     loop {
@@ -321,7 +328,7 @@ fn conn_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStream)
         };
         ctx.counters.frames_in.fetch_add(1, Ordering::Relaxed);
         obs::NET_FRAMES_IN.inc();
-        match wire::parse_client_frame(&payload, ctx.deployment.profiles().schema()) {
+        match wire::parse_client_frame(&payload, schema) {
             Err(err) => {
                 // Frame boundary intact: report and keep serving.
                 ctx.count_frame_error();
@@ -345,7 +352,11 @@ fn conn_loop(ctx: &Ctx, engine: &ServingEngine, conn_id: u64, stream: TcpStream)
                     replies.push(&wire::encode_ack("ack", "feedback"));
                 }
                 Err(err) => {
-                    replies.push(&wire::encode_error(None, "rejected", &err.to_string()));
+                    let kind = match err {
+                        ServeError::NotLeader => "not_leader",
+                        _ => "rejected",
+                    };
+                    replies.push(&wire::encode_error(None, kind, &err.to_string()));
                 }
             },
             Ok(ClientFrame::Ping) => replies.push(&wire::encode_ack("pong", true)),
@@ -376,14 +387,12 @@ mod tests {
 
     #[test]
     fn a_panicking_request_is_answered_and_the_connection_keeps_serving() {
-        let deployment = crate::test_deployment();
         let (engine, _responses) =
-            ServingEngine::start(Arc::clone(&deployment), ServeConfig::default()).unwrap();
+            ServingEngine::start(crate::test_deployment(), ServeConfig::default()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            serve_net(deployment, engine, listener, NetConfig::default()).unwrap()
-        });
+        let server =
+            std::thread::spawn(move || serve_net(&engine, listener, NetConfig::default()).unwrap());
         let mut stream = TcpStream::connect(addr).unwrap();
         let panicked = format!("{{\"id\": {PANIC_ID}, \"profile\": {{}}}}");
         let panicked = exchange(&mut stream, &panicked);

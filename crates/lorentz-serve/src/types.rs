@@ -95,6 +95,11 @@ pub enum ServeError {
     /// The engine is draining; intake is closed.
     #[error("serving engine is draining; intake is closed")]
     Draining,
+    /// Feedback reached a standby that has not promoted: only the leader
+    /// mints λ epochs. Reads keep working. On the wire its kind is
+    /// `not_leader`.
+    #[error("not the leader: this standby serves reads and refuses feedback until it promotes")]
+    NotLeader,
     /// The request spent longer than its deadline in the queue and was
     /// answered with an error instead of being served late.
     #[error("deadline exceeded after {0} ns in queue")]

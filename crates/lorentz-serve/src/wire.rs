@@ -16,7 +16,9 @@
 //!   replies come back in its request order, so ids need not be unique);
 //! * a **feedback signal**: any object with a `gamma` field (`gamma` ∈
 //!   [-1, 1] plus the path ids and optional `offering`), acknowledged
-//!   with `{"ack": "feedback"}` after the λ publish lands;
+//!   with `{"ack": "feedback"}` after the λ publish lands, or refused
+//!   with `{"error": "...", "kind": "not_leader"}` by a standby that has
+//!   not promoted and with kind `rejected` otherwise (draining, fenced);
 //! * a **control frame**: `{"op": "ping"}` (answered `{"pong": true}`) or
 //!   `{"op": "drain"}` (acknowledged, then the server drains and exits).
 //!

@@ -8,7 +8,6 @@ use lorentz::serve::{serve_net, NetConfig, NetReport, ServeConfig, ServingEngine
 use serde::Deserialize;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -26,12 +25,11 @@ fn start_server_capped(
     config: ServeConfig,
     max_frame_len: usize,
 ) -> (SocketAddr, JoinHandle<NetReport>) {
-    let deployment = deployment();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (engine, _) = ServingEngine::start(Arc::clone(&deployment), config).unwrap();
+    let (engine, _) = ServingEngine::start(deployment(), config).unwrap();
     let handle = std::thread::spawn(move || {
-        serve_net(deployment, engine, listener, NetConfig { max_frame_len }).unwrap()
+        serve_net(&engine, listener, NetConfig { max_frame_len }).unwrap()
     });
     (addr, handle)
 }

@@ -9,7 +9,6 @@ use lorentz::serve::wire::{read_frame, write_frame, WireError};
 use lorentz::serve::{serve_net, NetConfig, NetReport, ServeConfig, ServingEngine};
 use lorentz_chaos::proxy::FaultProxy;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -17,14 +16,11 @@ mod common;
 use common::deployment;
 
 fn start_server() -> (SocketAddr, JoinHandle<NetReport>) {
-    let deployment = deployment();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (engine, _) =
-        ServingEngine::start(Arc::clone(&deployment), ServeConfig::default()).unwrap();
-    let handle = std::thread::spawn(move || {
-        serve_net(deployment, engine, listener, NetConfig::default()).unwrap()
-    });
+    let (engine, _) = ServingEngine::start(deployment(), ServeConfig::default()).unwrap();
+    let handle =
+        std::thread::spawn(move || serve_net(&engine, listener, NetConfig::default()).unwrap());
     (addr, handle)
 }
 

@@ -3,14 +3,15 @@
 //! — including across a leader killed mid-append and restarted on the same
 //! WAL; a follower that loses the leader past the detection timeout
 //! promotes itself — exactly once across racing standbys — and keeps
-//! serving.
+//! serving, to its clients over `serve_net` as well.
 
 use lorentz::core::personalizer::WalRecord;
 use lorentz::core::SignalWal;
+use lorentz::serve::wire::{read_frame, write_frame};
 use lorentz::serve::{
-    serve_replication, FollowerConfig, FollowerEngine, PromoteConfig, ReplicaState,
-    ReplicationConfig, ReplicationError, ReplicationSource, ServeConfig, ServeError, ServingEngine,
-    SourcePoll, TcpSource,
+    serve_net, serve_replication, FollowerConfig, FollowerEngine, NetConfig, PromoteConfig,
+    ReplicaState, ReplicationConfig, ReplicationError, ReplicationSource, ServeConfig, ServeError,
+    ServingEngine, SourcePoll, TcpSource,
 };
 use lorentz::types::replication::{HandshakeRejection, ResumeMode};
 use lorentz::types::{LambdaDelta, PathKey, ServerOffering};
@@ -95,7 +96,6 @@ fn tcp_follower_serves_lambda_byte_identical_to_the_leader() {
     assert_eq!(follower.engine().lambda_version(), want);
     let stats = follower.stop();
     assert_eq!(stats.applied, 3);
-    assert_eq!(stats.skipped, 0);
     drop(repl);
     drop(leader);
 }
@@ -415,7 +415,10 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
     let deadline = Instant::now() + Duration::from_secs(15);
     let promoted = loop {
         assert!(Instant::now() < deadline, "no standby promoted");
-        match (a.is_leader(), b.is_leader()) {
+        match (
+            a.state() == ReplicaState::Leader,
+            b.state() == ReplicaState::Leader,
+        ) {
             (true, true) => panic!("both standbys promoted"),
             (true, false) => break &a,
             (false, true) => break &b,
@@ -434,7 +437,8 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
     assert_eq!(served.to_bits(), lambda_at_kill.to_bits());
 
     // It now accepts feedback like any leader...
-    promoted.submit_feedback(signal(0.5)).unwrap();
+    promoted.engine().submit_feedback(signal(0.5)).unwrap();
+    promoted.engine().flush_feedback();
     assert_eq!(promoted.engine().lambda_version(), epoch_at_kill + 1);
 
     // ...and the loser re-subscribed to it as its new upstream: it stays
@@ -460,9 +464,9 @@ fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(refollowed.to_bits(), promoted_lambda.to_bits());
 
-    // A follower without promotion config stays read-only throughout.
-    match loser.submit_feedback(signal(1.0)) {
-        Err(ServeError::Draining) => {}
+    // The loser stays read-only: only the leader mints epochs.
+    match loser.engine().submit_feedback(signal(1.0)) {
+        Err(ServeError::NotLeader) => {}
         other => panic!("a follower must reject feedback, got {other:?}"),
     }
 }
@@ -495,7 +499,7 @@ fn a_sharded_standby_keeps_its_shards_after_promotion() {
     wait_for_epoch(&follower, epoch);
     drop((repl, leader));
     let deadline = Instant::now() + Duration::from_secs(15);
-    while !follower.is_leader() {
+    while follower.state() != ReplicaState::Leader {
         assert!(Instant::now() < deadline, "the standby never promoted");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -510,6 +514,119 @@ fn a_sharded_standby_keeps_its_shards_after_promotion() {
         .lambda_snapshot_for(&hot_path())
         .lambda(&hot_path(), ServerOffering::GeneralPurpose);
     assert_eq!(promoted.to_bits(), lambda.to_bits());
-    follower.submit_feedback(signal(0.5)).unwrap();
+    engine.submit_feedback(signal(0.5)).unwrap();
+    engine.flush_feedback();
     assert_eq!(engine.lambda_version(), epoch + 1);
+}
+
+/// Sends one frame and returns the reply.
+fn exchange(stream: &mut TcpStream, frame: &str) -> serde::Value {
+    write_frame(stream, frame.as_bytes()).unwrap();
+    let payload = read_frame(stream, 1 << 20).unwrap();
+    serde_json::parse(&String::from_utf8(payload).unwrap()).unwrap()
+}
+
+/// Reads [`hot_path`] over the wire: its λ bits and its SKU.
+fn read_hot_path(stream: &mut TcpStream) -> (u64, serde::Value) {
+    use serde::Deserialize;
+    let reply = exchange(
+        stream,
+        r#"{"id": 1, "customer": 7, "subscription": 8, "resource_group": 9}"#,
+    );
+    let ok = reply.get_field("ok").unwrap_or_else(|| panic!("{reply:?}"));
+    let lambda = ok.get_field("lambda").and_then(|v| f64::from_value(v).ok());
+    (
+        lambda.unwrap().to_bits(),
+        ok.get_field("sku").unwrap().clone(),
+    )
+}
+
+/// A feedback frame for [`hot_path`].
+fn feedback_frame(gamma: f64) -> String {
+    format!("{{\"gamma\": {gamma}, \"customer\": 7, \"subscription\": 8, \"resource_group\": 9}}")
+}
+
+fn field<'a>(reply: &'a serde::Value, key: &str) -> Option<&'a str> {
+    reply.get_field(key).and_then(serde::Value::as_str)
+}
+
+#[test]
+fn a_standby_serves_clients_through_serve_net_and_acks_feedback_once_promoted() {
+    let dir = TestDir::new("tcp-repl-standby-net");
+    let wal = dir.join("leader.wal");
+    let (leader, _responses, repl) = start_leader(&wal);
+    let standby = FollowerEngine::start_tcp(
+        deployment(),
+        &repl.local_addr().to_string(),
+        FollowerConfig {
+            local_wal: Some(dir.join("replica.wal")),
+            promote: Some(PromoteConfig {
+                listen: None,
+                detection_timeout: Duration::from_millis(200),
+            }),
+            ..FollowerConfig::default()
+        },
+    )
+    .unwrap();
+    let leader_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let leader_addr = leader_listener.local_addr().unwrap();
+    let leader_server = std::thread::spawn(move || {
+        serve_net(&leader, leader_listener, NetConfig::default()).unwrap();
+        leader.lambda_version()
+    });
+    let standby_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let standby_addr = standby_listener.local_addr().unwrap();
+
+    std::thread::scope(|scope| {
+        let standby_server = scope
+            .spawn(|| serve_net(standby.engine(), standby_listener, NetConfig::default()).unwrap());
+        let mut at_leader = TcpStream::connect(leader_addr).unwrap();
+        let mut at_standby = TcpStream::connect(standby_addr).unwrap();
+        for gamma in [1.0, -0.5] {
+            let ack = exchange(&mut at_leader, &feedback_frame(gamma));
+            assert_eq!(field(&ack, "ack"), Some("feedback"), "{ack:?}");
+        }
+
+        // The standby serves the leader's λ and SKU once it has the epoch.
+        let (leader_bits, leader_sku) = read_hot_path(&mut at_leader);
+        let drain = exchange(&mut at_leader, r#"{"op": "drain"}"#);
+        assert_eq!(field(&drain, "ack"), Some("drain"));
+        let epoch = leader_server.join().unwrap();
+        wait_for_epoch(&standby, epoch);
+        let (standby_bits, standby_sku) = read_hot_path(&mut at_standby);
+        assert_eq!(standby_bits, leader_bits, "the standby's λ diverged");
+        assert_eq!(standby_sku, leader_sku);
+
+        // Feedback to a standby is refused as not_leader, and the
+        // connection keeps serving.
+        let refused = exchange(&mut at_standby, &feedback_frame(1.0));
+        assert_eq!(field(&refused, "kind"), Some("not_leader"), "{refused:?}");
+        assert_eq!(read_hot_path(&mut at_standby).0, leader_bits);
+
+        // The leader's replication goes away: the standby promotes, and the
+        // same connection's next feedback is acked and read back.
+        drop(repl);
+        let deadline = Instant::now() + Duration::from_secs(15);
+        while standby.state() != ReplicaState::Leader {
+            assert!(Instant::now() < deadline, "the standby never promoted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let ack = exchange(&mut at_standby, &feedback_frame(1.0));
+        assert_eq!(field(&ack, "ack"), Some("feedback"), "{ack:?}");
+        let (promoted_bits, _) = read_hot_path(&mut at_standby);
+        assert_ne!(promoted_bits, leader_bits, "the acked signal moved λ");
+        let served = standby
+            .engine()
+            .lambda_snapshot()
+            .lambda(&hot_path(), ServerOffering::GeneralPurpose);
+        assert_eq!(promoted_bits, served.to_bits());
+
+        let drain = exchange(&mut at_standby, r#"{"op": "drain"}"#);
+        assert_eq!(field(&drain, "ack"), Some("drain"));
+        let report = standby_server.join().unwrap();
+        assert_eq!(report.engine.feedback_applied, 1);
+        assert_eq!(report.engine.accepted, report.engine.answered);
+        assert_eq!(report.lambda_version, epoch + 1);
+    });
+    assert_eq!(standby.stop().applied, 2);
 }
