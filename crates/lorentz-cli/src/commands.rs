@@ -8,12 +8,11 @@ use lorentz_core::retry::RetryPolicy;
 use lorentz_core::store::atomic_write;
 use lorentz_core::{
     DurableStore, FleetDataset, LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest,
-    Rightsizer, SatisfactionSignal, TrainedLorentz,
+    Rightsizer, TrainedLorentz,
 };
 use lorentz_serve::{
     serve_net, serve_replication, FollowerConfig, FollowerEngine, NetConfig, NetReport,
-    PromoteConfig, ReplicaState, ReplicationConfig, ServeConfig, ServeRequest, ServeResponse,
-    ServingEngine,
+    PromoteConfig, ReplicaState, ReplicationConfig, ServeConfig, ServingEngine,
 };
 use lorentz_simdata::fleet::{FleetConfig, SyntheticFleet};
 use lorentz_simdata::persim::{PersonalizationSim, PersonalizationSimConfig};
@@ -56,42 +55,34 @@ USAGE:
                     [--source hierarchical|target-encoding|store] [--json] [--metrics-out metrics.json]
                     (requests.json: array of {\"offering\", \"profile\": {Feature: value},
                      \"customer\", \"subscription\", \"resource_group\"}; all fields optional)
-  lorentz serve     --model model.json --requests requests.ndjson
-                    [--workers N] [--queue-capacity N] [--degraded-at N] [--deadline-ms N]
+  lorentz serve     --model model.json --listen ADDR [--shards N] [--deadline-ms N]
                     [--kind hierarchical|target-encoding] [--feedback-wal wal.log]
-                    [--json] [--metrics-out metrics.json]
-                    (--workers, --queue-capacity and --degraded-at size the worker pool
-                     and bounded queue this mode submits through;
-                     requests.ndjson: one request object per line, same fields as --batch
-                     plus optional \"id\" and \"deadline_ms\"; a line carrying a \"gamma\"
-                     field is a satisfaction signal instead — it updates the live λ-table
-                     before later lines serve; --feedback-wal makes signals durable, frames
-                     each with its published λ delta, and replays them on startup; answers
-                     go to stdout, the engine drains gracefully, and --metrics-out
-                     snapshots after the drain)
-  lorentz serve     --model model.json --listen ADDR [--shards N]
-                    [--workers N] [--queue-capacity N] [--degraded-at N] [--deadline-ms N]
-                    [--kind hierarchical|target-encoding] [--feedback-wal wal.log]
-                    [--replicate-listen tcp://HOST:PORT]
+                    [--replicate-listen tcp://HOST:PORT] [--workers N]
                     [--max-frame-len BYTES] [--json] [--metrics-out metrics.json]
-                    (TCP front end: binds ADDR — port 0 picks a free port, printed as
+                    (leader: binds ADDR — port 0 picks a free port, printed as
                      'listening on <addr>' on stderr — and serves persistent connections
                      speaking length-prefixed JSON frames (u32 big-endian byte length,
-                     then that many bytes of JSON): request/feedback objects as in
-                     --requests mode, {\"op\": \"ping\"} to probe, {\"op\": \"drain\"} to
-                     stop; each connection's thread answers its requests itself, in
-                     order, so they are never queued, rejected as saturated or
-                     degraded, and --workers, --queue-capacity and --degraded-at
-                     size only the idle --requests pool; --shards splits the store and λ-state into N power-of-two
-                     shards so every λ publish touches one shard (a store publish
-                     swaps the whole store in one step); the post-drain
-                     ledger and net accounting go to stderr; --replicate-listen
-                     additionally binds a replication listener that streams the
-                     feedback WAL to tcp:// followers, resuming each from its
-                     last applied epoch — requires --feedback-wal)
+                     then that many bytes of JSON): a request object with the fields
+                     of a --batch entry plus optional \"id\" and \"deadline_ms\"; an
+                     object carrying a \"gamma\" in [-1, 1] and the path ids is a
+                     satisfaction signal that updates the live λ-table before the
+                     connection's next frame; {\"op\": \"ping\"} probes and
+                     {\"op\": \"drain\"} stops. Each connection's thread answers its
+                     requests itself, in order, so they are never queued, rejected as
+                     saturated or degraded; --workers is accepted but sizes a worker
+                     pool no CLI path starts. --feedback-wal makes signals durable,
+                     frames each with its published λ delta, and replays them on
+                     startup; --shards splits the store and λ-state into N
+                     power-of-two shards so every λ publish touches one shard (a store
+                     publish swaps the whole store in one step); the post-drain ledger
+                     and net accounting go to stderr (with --json also the report on
+                     stdout), and --metrics-out snapshots after the drain;
+                     --replicate-listen additionally binds a replication listener that
+                     streams the feedback WAL to tcp:// followers, resuming each from
+                     its last applied epoch — requires --feedback-wal)
   lorentz serve     --model model.json --listen ADDR --follow tcp://HOST:PORT
-                    [--kind hierarchical|target-encoding] [--shards N] [--replica-wal wal.log]
-                    [--promote-listen ADDR] [--promote-after-ms N]
+                    [--kind hierarchical|target-encoding] [--shards N] [--deadline-ms N]
+                    [--replica-wal wal.log] [--promote-listen ADDR] [--promote-after-ms N]
                     [--max-frame-len BYTES] [--json] [--metrics-out metrics.json]
                     (standby: subscribes to a leader's --replicate-listen — over
                      loopback, tcp://127.0.0.1:PORT, on the leader's machine —,
@@ -106,7 +97,9 @@ USAGE:
                      unreachable for --promote-after-ms (default 1000), the standby
                      that binds ADDR first becomes the leader on its replica WAL,
                      keeping its --shards and the λ it replicated, and the same
-                     client port acks feedback)
+                     client port acks feedback. Each role refuses the other's flags:
+                     a standby --feedback-wal and --replicate-listen, a leader
+                     --replica-wal, --promote-listen and --promote-after-ms)
   lorentz wal-verify --wal wal.log
                     (walk a feedback WAL read-only, reporting per-record OK/CORRUPT
                      verdicts like store-verify plus term markers and the last
@@ -166,9 +159,9 @@ pub fn lookup(name: &str) -> Option<Command> {
         "serve" => (
             serve,
             concat!(
-                "model kind workers queue-capacity degraded-at deadline-ms shards listen ",
-                "max-frame-len replicate-listen requests feedback-wal follow replica-wal ",
-                "promote-listen promote-after-ms metrics-out"
+                "model kind workers deadline-ms shards listen max-frame-len ",
+                "replicate-listen feedback-wal follow replica-wal promote-listen ",
+                "promote-after-ms metrics-out"
             ),
             "json",
         ),
@@ -371,8 +364,8 @@ fn parse_profile<'a>(
     Ok(profile)
 }
 
-/// One owned request parsed from a `--batch` file entry or a serve
-/// request line.
+/// One owned request parsed from a `--batch` file entry or a
+/// `feedback --tickets` line.
 struct RequestSpec {
     profile: Vec<Option<String>>,
     offering: ServerOffering,
@@ -392,8 +385,8 @@ fn opt_u64_field(item: &serde::Value, field: &str, label: &str) -> Result<Option
 
 /// Parses one request object. Every field is optional — `offering` defaults
 /// to `general_purpose`, `profile` entries default to missing, and the path
-/// ids default to 0. Shared between `--batch` entries and `serve` request
-/// lines.
+/// ids default to 0. Shared between `--batch` entries and `feedback`
+/// ticket lines.
 fn parse_request_value(
     item: &serde::Value,
     schema: &lorentz_types::ProfileSchema,
@@ -556,96 +549,31 @@ fn parse_opt_flag<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option
     }
 }
 
-/// One parsed line of a serve stream: a recommendation request or an
-/// interleaved satisfaction signal.
-#[derive(Debug)]
-enum ServeLine {
-    /// A recommendation request for the worker pool.
-    Request(ServeRequest),
-    /// A satisfaction signal for the λ-writer, applied before later lines
-    /// are served.
-    Feedback(SatisfactionSignal),
-}
+/// The `serve` flags only a leader reads.
+const LEADER_FLAGS: &[&str] = &["feedback-wal", "replicate-listen"];
+/// The `serve` flags only a standby (`--follow`) reads.
+const STANDBY_FLAGS: &[&str] = &["replica-wal", "promote-listen", "promote-after-ms"];
 
-/// Parses a serve stream: one JSON object per line (blank lines ignored).
-/// A line with a `gamma` field is a satisfaction signal (`gamma` in
-/// [-1, 1], plus the path ids and optional `offering`); any other line is a
-/// request — the same shape as a `--batch` entry plus optional `id`
-/// (defaults to the request's position among requests) and `deadline_ms`.
-fn parse_serve_lines(
-    text: &str,
-    path: &str,
-    schema: &lorentz_types::ProfileSchema,
-) -> Result<Vec<ServeLine>, CliError> {
-    use serde::Deserialize;
-    let mut lines = Vec::new();
-    let mut request_count = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let label = format!("{path}:{}", lineno + 1);
-        let value =
-            serde_json::parse(line).map_err(|e| CliError::InvalidInput(format!("{label}: {e}")))?;
-        let spec = parse_request_value(&value, schema, &label)?;
-        if let Some(g) = value.get_field("gamma") {
-            let gamma = f64::from_value(g)
-                .map_err(|_| CliError::InvalidInput(format!("{label}: gamma must be a number")))?;
-            let signal = SatisfactionSignal::new(spec.path, spec.offering, gamma)
-                .map_err(|e| CliError::InvalidInput(format!("{label}: {e}")))?;
-            lines.push(ServeLine::Feedback(signal));
-        } else {
-            let id = opt_u64_field(&value, "id", &label)?.unwrap_or(request_count);
-            let deadline = opt_u64_field(&value, "deadline_ms", &label)?.map(Duration::from_millis);
-            request_count += 1;
-            lines.push(ServeLine::Request(ServeRequest {
-                id,
-                profile: spec.profile,
-                offering: spec.offering,
-                path: spec.path,
-                deadline,
-            }));
-        }
-    }
-    Ok(lines)
-}
-
-/// Blocks until every accepted request has been answered — the barrier that
-/// keeps a feedback line from shifting requests submitted before it.
-fn wait_for_quiescence(engine: &ServingEngine) {
-    loop {
-        let stats = engine.stats();
-        if stats.answered >= stats.accepted {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// `lorentz serve`: run the concurrent serving engine over a newline-
-/// delimited stream of requests and interleaved feedback signals. Requests
-/// are submitted through the bounded queue (rejections are reported, not
-/// fatal); a feedback line waits for the in-flight requests to answer,
-/// then applies and hot-publishes its signal, so every later request
-/// serves under the updated λ. The engine drains gracefully and the
-/// answers are printed to stdout ordered by request id.
+/// `lorentz serve`: put the TCP front end on the engine — a leader's, or
+/// with `--follow` a standby's. Binds `--listen`, prints
+/// `listening on <addr>` to stderr (port 0 resolves to the kernel-assigned
+/// port, so harnesses can parse it), and serves persistent connections
+/// speaking the length-prefixed JSON frame protocol until a client sends
+/// `{"op": "drain"}`. The post-drain ledger and per-connection accounting
+/// go to stderr (a standby adds its `followed …` replication line);
+/// `--json` additionally prints the report as JSON on stdout. A flag of
+/// the other role is a usage error, refused before the model loads.
 pub fn serve(args: &Args) -> Result<(), CliError> {
-    use serde::Serialize;
-    if args.get("follow").is_some() {
-        if args.get("listen").is_none() {
-            return Err(CliError::Usage(
-                "--follow requires --listen ADDR: a standby serves its clients over TCP".to_owned(),
-            ));
-        }
-        if args.get("requests").is_some() {
-            return Err(CliError::Usage(
-                "--requests cannot be combined with --follow: a standby serves TCP clients on \
-                 --listen"
-                    .to_owned(),
-            ));
-        }
+    let addr = args.require("listen")?;
+    let follow = args.get("follow");
+    let (foreign, why) = match follow {
+        Some(_) => (LEADER_FLAGS, "is a leader's and not read with --follow"),
+        None => (STANDBY_FLAGS, "is a standby's and read only with --follow"),
+    };
+    if let Some(flag) = foreign.iter().find(|flag| args.get(flag).is_some()) {
+        return Err(CliError::Usage(format!("flag --{flag} {why}")));
     }
+    let follow = follow.map(Endpoint::parse).transpose()?;
     let deployment = Arc::new(load_model(args.require("model")?)?);
     let kind = match args.get_or("kind", "hierarchical") {
         "hierarchical" => ModelKind::Hierarchical,
@@ -655,117 +583,11 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     let defaults = ServeConfig::default();
     let config = ServeConfig {
         workers: args.get_parse_or("workers", defaults.workers)?,
-        queue_capacity: args.get_parse_or("queue-capacity", defaults.queue_capacity)?,
-        degraded_threshold: parse_opt_flag(args, "degraded-at")?.or(defaults.degraded_threshold),
         default_deadline: parse_opt_flag::<u64>(args, "deadline-ms")?.map(Duration::from_millis),
         kind,
         shards: args.get_parse_or("shards", defaults.shards)?,
         ..defaults
     };
-    if let Some(addr) = args.get("listen") {
-        return serve_listen(args, deployment, config, addr);
-    }
-    let requests_path = args.require("requests")?;
-    let text = fs::read_to_string(requests_path).map_err(|e| CliError::io(requests_path, e))?;
-    let lines = parse_serve_lines(&text, requests_path, deployment.profiles().schema())?;
-    let total = lines
-        .iter()
-        .filter(|l| matches!(l, ServeLine::Request(_)))
-        .count();
-    let (engine, responses) = match args.get("feedback-wal") {
-        Some(wal_path) => ServingEngine::start_with_wal(Arc::clone(&deployment), config, wal_path)?,
-        None => ServingEngine::start(Arc::clone(&deployment), config)?,
-    };
-    let mut rejected: Vec<(u64, lorentz_serve::ServeError)> = Vec::new();
-    for line in lines {
-        match line {
-            ServeLine::Request(request) => {
-                let id = request.id;
-                if let Err(e) = engine.submit(request) {
-                    rejected.push((id, e));
-                }
-            }
-            ServeLine::Feedback(signal) => {
-                // Requests already submitted answer under the current λ;
-                // the signal publishes before anything later is admitted.
-                wait_for_quiescence(&engine);
-                if engine.submit_feedback(signal).is_ok() {
-                    engine.flush_feedback();
-                }
-            }
-        }
-    }
-    let store_version = engine.store_version();
-    let lambda_version = engine.lambda_version();
-    let stats = engine.drain();
-    let mut answered: Vec<ServeResponse> = responses.into_iter().collect();
-    answered.sort_by_key(|r| r.id);
-    if args.has_switch("json") {
-        let rows: Vec<serde::Value> = answered
-            .iter()
-            .map(|r| {
-                let mut fields = vec![("id".to_owned(), serde::Value::UInt(r.id))];
-                match &r.result {
-                    Ok(rec) => fields.push(("ok".to_owned(), rec.to_value())),
-                    Err(e) => fields.push(("error".to_owned(), serde::Value::Str(e.to_string()))),
-                }
-                fields.push(("degraded".to_owned(), serde::Value::Bool(r.degraded)));
-                fields.push(("latency_ns".to_owned(), serde::Value::UInt(r.latency_ns)));
-                serde::Value::Map(fields)
-            })
-            .chain(rejected.iter().map(|(id, e)| {
-                serde::Value::Map(vec![
-                    ("id".to_owned(), serde::Value::UInt(*id)),
-                    ("rejected".to_owned(), serde::Value::Str(e.to_string())),
-                ])
-            }))
-            .collect();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&serde::Value::Seq(rows))?
-        );
-    } else {
-        for r in &answered {
-            let tag = if r.degraded { " (degraded)" } else { "" };
-            match &r.result {
-                Ok(rec) => println!("[{}]{tag} {rec}", r.id),
-                Err(e) => println!("[{}]{tag} error: {e}", r.id),
-            }
-        }
-        for (id, e) in &rejected {
-            println!("[{id}] rejected: {e}");
-        }
-    }
-    // Status goes to stderr so stdout stays machine-readable answers.
-    eprintln!(
-        "served {total} requests against store v{store_version}: \
-         {} accepted, {} answered, {} rejected, {} timed out, {} degraded, \
-         {} feedback applied (lambda v{lambda_version})",
-        stats.accepted,
-        stats.answered,
-        stats.rejected,
-        stats.timed_out,
-        stats.degraded,
-        stats.feedback_applied
-    );
-    write_metrics(args)
-}
-
-/// `lorentz serve --listen`: put the TCP front end on the engine — a
-/// leader's, or with `--follow` a standby's. Binds the address, prints
-/// `listening on <addr>` to stderr (port 0 resolves to the kernel-assigned
-/// port, so harnesses can parse it), and serves persistent connections
-/// speaking the length-prefixed JSON frame protocol until a client sends
-/// `{"op": "drain"}`. The post-drain ledger and per-connection accounting
-/// go to stderr (a standby adds its `followed …` replication line);
-/// `--json` additionally prints the report as JSON on stdout.
-fn serve_listen(
-    args: &Args,
-    deployment: Arc<TrainedLorentz>,
-    config: ServeConfig,
-    addr: &str,
-) -> Result<(), CliError> {
-    let follow = args.get("follow").map(Endpoint::parse).transpose()?;
     let listener = std::net::TcpListener::bind(addr).map_err(|e| CliError::io(addr, e))?;
     let local = listener.local_addr().map_err(|e| CliError::io(addr, e))?;
     let net_config = NetConfig {
@@ -802,8 +624,8 @@ fn serve_listen(
         drop(follower);
         return write_metrics(args);
     }
-    // Connections answer reads on their own threads; the pool the engine
-    // starts beside them serves no TCP request, so its answers go unread.
+    // Connections answer reads on their own threads. The response channel
+    // feeds only the worker pool, which no TCP read starts.
     let (engine, _) = match args.get("feedback-wal") {
         Some(wal_path) => ServingEngine::start_with_wal(Arc::clone(&deployment), config, wal_path)?,
         None => ServingEngine::start(Arc::clone(&deployment), config)?,
@@ -1003,24 +825,25 @@ pub fn wal_verify(args: &Args) -> Result<(), CliError> {
     }
 }
 
-/// `lorentz feedback`: replay a file of CRI ticket lines through the
-/// Table-1 keyword classifier into a saved deployment's personalizer, and
-/// optionally save the updated model.
-pub fn feedback(args: &Args) -> Result<(), CliError> {
-    let mut trained = load_model(args.require("model")?)?;
-    let tickets_path = args.require("tickets")?;
-    let text = fs::read_to_string(tickets_path).map_err(|e| CliError::io(tickets_path, e))?;
-    let schema = trained.profiles().schema().clone();
-    let (mut positive, mut negative, mut neutral) = (0u64, 0u64, 0u64);
+/// Parses a `--tickets` file: one JSON object per line (blank lines
+/// ignored), each the fields of a `--batch` entry plus the ticket's
+/// `symptoms`, `subject` and `resolution` strings. Returns each ticket with
+/// its `file:line` label; an error names the line.
+fn parse_tickets(
+    text: &str,
+    path: &str,
+    schema: &lorentz_types::ProfileSchema,
+) -> Result<Vec<(String, RequestSpec, CriTicket)>, CliError> {
+    let mut tickets = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let label = format!("{tickets_path}:{}", lineno + 1);
+        let label = format!("{path}:{}", lineno + 1);
         let value =
             serde_json::parse(line).map_err(|e| CliError::InvalidInput(format!("{label}: {e}")))?;
-        let spec = parse_request_value(&value, &schema, &label)?;
+        let spec = parse_request_value(&value, schema, &label)?;
         let text_field = |field: &str| -> Result<String, CliError> {
             match value.get_field(field) {
                 None => Ok(String::new()),
@@ -1030,10 +853,25 @@ pub fn feedback(args: &Args) -> Result<(), CliError> {
             }
         };
         let ticket = CriTicket::new(
-            &text_field("symptoms")?,
-            &text_field("subject")?,
-            &text_field("resolution")?,
+            text_field("symptoms")?,
+            text_field("subject")?,
+            text_field("resolution")?,
         );
+        tickets.push((label, spec, ticket));
+    }
+    Ok(tickets)
+}
+
+/// `lorentz feedback`: replay a file of CRI ticket lines through the
+/// Table-1 keyword classifier into a saved deployment's personalizer, and
+/// optionally save the updated model.
+pub fn feedback(args: &Args) -> Result<(), CliError> {
+    let mut trained = load_model(args.require("model")?)?;
+    let tickets_path = args.require("tickets")?;
+    let text = fs::read_to_string(tickets_path).map_err(|e| CliError::io(tickets_path, e))?;
+    let tickets = parse_tickets(&text, tickets_path, trained.profiles().schema())?;
+    let (mut positive, mut negative, mut neutral) = (0u64, 0u64, 0u64);
+    for (label, spec, ticket) in tickets {
         let gamma = trained.apply_ticket(spec.path, spec.offering, &ticket);
         let sentiment = match gamma as i8 {
             1 => {
@@ -1303,31 +1141,6 @@ mod tests {
             "--json",
         ]))
         .unwrap();
-        let ndjson_path = tmp("requests.ndjson");
-        std::fs::write(
-            &ndjson_path,
-            concat!(
-                r#"{"id": 7, "offering": "general_purpose", "profile": {"SegmentName": "segmentname-0"}}"#,
-                "\n\n",
-                r#"{"profile": {"VerticalName": "verticalname-1"}, "customer": 4}"#,
-                "\n",
-                r#"{}"#,
-                "\n",
-            ),
-        )
-        .unwrap();
-        serve(&args(&[
-            "serve",
-            "--model",
-            &model_path,
-            "--requests",
-            &ndjson_path,
-            "--workers",
-            "2",
-            "--json",
-        ]))
-        .unwrap();
-        let _ = std::fs::remove_file(&ndjson_path);
         let _ = std::fs::remove_file(&batch_path);
         let _ = std::fs::remove_file(&fleet_path);
         let _ = std::fs::remove_file(&model_path);
@@ -1412,71 +1225,12 @@ mod tests {
     }
 
     #[test]
-    fn request_lines_parse_ids_and_deadlines() {
-        let schema = lorentz_types::ProfileSchema::azure_postgres();
-        let text = concat!(
-            r#"{"id": 42, "deadline_ms": 250, "offering": "burstable"}"#,
-            "\n",
-            r#"{"profile": {"SegmentName": "s1"}}"#,
-            "\n",
-        );
-        let lines = parse_serve_lines(text, "requests.ndjson", &schema).unwrap();
-        assert_eq!(lines.len(), 2);
-        let ServeLine::Request(first) = &lines[0] else {
-            panic!("expected a request line");
-        };
-        assert_eq!(first.id, 42);
-        assert_eq!(first.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(first.offering, ServerOffering::Burstable);
-        let ServeLine::Request(second) = &lines[1] else {
-            panic!("expected a request line");
-        };
-        assert_eq!(second.id, 1); // defaults to position
-        assert_eq!(second.deadline, None);
-        assert_eq!(second.profile[0].as_deref(), Some("s1"));
-
-        let err = parse_serve_lines("{bad\n", "r.ndjson", &schema).unwrap_err();
-        assert!(err.to_string().contains("r.ndjson:1"));
-        assert!(parse_serve_lines(r#"{"id": "x"}"#, "r", &schema).is_err());
-        assert!(parse_serve_lines(r#"{"customer": 5000000000}"#, "r", &schema).is_err());
-    }
-
-    #[test]
-    fn feedback_lines_parse_signals_and_keep_request_positions() {
-        let schema = lorentz_types::ProfileSchema::azure_postgres();
-        let text = concat!(
-            r#"{"profile": {"SegmentName": "s1"}}"#,
-            "\n",
-            r#"{"gamma": 1, "customer": 4, "subscription": 5, "resource_group": 6, "offering": "burstable"}"#,
-            "\n",
-            r#"{"profile": {"SegmentName": "s1"}}"#,
-            "\n",
-        );
-        let lines = parse_serve_lines(text, "stream.ndjson", &schema).unwrap();
-        assert_eq!(lines.len(), 3);
-        let ServeLine::Feedback(signal) = &lines[1] else {
-            panic!("expected a feedback line");
-        };
-        assert_eq!(signal.gamma, 1.0);
-        assert_eq!(signal.path.customer, CustomerId(4));
-        assert_eq!(signal.offering, ServerOffering::Burstable);
-        // Request ids count requests only, not interleaved signals.
-        let ServeLine::Request(last) = &lines[2] else {
-            panic!("expected a request line");
-        };
-        assert_eq!(last.id, 1);
-
-        // γ outside [-1, 1] and non-numeric γ are rejected with context.
-        let err = parse_serve_lines(r#"{"gamma": 7}"#, "s", &schema).unwrap_err();
-        assert!(err.to_string().contains("s:1"));
-        assert!(parse_serve_lines(r#"{"gamma": "hot"}"#, "s", &schema).is_err());
-    }
-
-    #[test]
     fn a_deeply_nested_line_is_an_input_error_not_a_stack_overflow() {
         let schema = lorentz_types::ProfileSchema::azure_postgres();
         let text = "[".repeat(1_000_000);
-        let err = parse_serve_lines(&text, "deep.ndjson", &schema).unwrap_err();
+        let err = parse_tickets(&text, "deep.ndjson", &schema)
+            .err()
+            .expect("a line nested past the reader's depth limit is refused");
         assert!(
             matches!(&err, CliError::InvalidInput(msg) if msg.contains("deep.ndjson:1")),
             "{err}"
@@ -1484,14 +1238,11 @@ mod tests {
     }
 
     #[test]
-    fn feedback_command_and_wal_serve_round_trip() {
+    fn feedback_command_replays_tickets_into_lambda() {
         let fleet_path = tmp("fb-fleet.json");
         let model_path = tmp("fb-model.json");
         let updated_path = tmp("fb-model-updated.json");
         let tickets_path = tmp("fb-tickets.ndjson");
-        let stream_path = tmp("fb-stream.ndjson");
-        let wal_path = tmp("fb-signals.wal");
-        let _ = std::fs::remove_file(&wal_path);
         generate(&args(&[
             "generate",
             "--servers",
@@ -1546,68 +1297,7 @@ mod tests {
                 > 0.0
         );
 
-        // A serve stream with interleaved feedback appends to the WAL...
-        std::fs::write(
-            &stream_path,
-            concat!(
-                r#"{"id": 0, "profile": {"SegmentName": "segmentname-0"}, "customer": 1, "subscription": 2, "resource_group": 3}"#,
-                "\n",
-                r#"{"gamma": 1, "customer": 1, "subscription": 2, "resource_group": 3}"#,
-                "\n",
-                r#"{"gamma": 1, "customer": 1, "subscription": 2, "resource_group": 3}"#,
-                "\n",
-                r#"{"id": 1, "profile": {"SegmentName": "segmentname-0"}, "customer": 1, "subscription": 2, "resource_group": 3}"#,
-                "\n",
-            ),
-        )
-        .unwrap();
-        serve(&args(&[
-            "serve",
-            "--model",
-            &model_path,
-            "--requests",
-            &stream_path,
-            "--workers",
-            "2",
-            "--feedback-wal",
-            &wal_path,
-        ]))
-        .unwrap();
-        // ...and a restart replays exactly the signals that were accepted,
-        // each framed with the epoch-stamped λ delta it published.
-        let (_, recovery) = lorentz_core::SignalWal::open(&wal_path).unwrap();
-        assert_eq!(recovery.signals.len(), 2);
-        assert_eq!(recovery.torn_tail_bytes, 0);
-        assert!(recovery.signals.iter().all(|s| s.path == hot));
-        assert_eq!(recovery.last_epoch, 3, "seed epoch 1 + two delta publishes");
-
-        // wal-verify reports every record intact; a follower subscribes
-        // over TCP only, so a WAL path as --follow is refused, naming the
-        // endpoint form.
-        wal_verify(&args(&["wal-verify", "--wal", &wal_path])).unwrap();
-        assert!(wal_verify(&args(&["wal-verify"])).is_err()); // missing --wal
-        for follow in [wal_path.clone(), format!("file:{wal_path}")] {
-            let err = serve(&args(&[
-                "serve",
-                "--model",
-                &model_path,
-                "--listen",
-                "127.0.0.1:0",
-                "--follow",
-                &follow,
-            ]))
-            .unwrap_err();
-            assert!(err.to_string().contains("tcp://HOST:PORT"), "{err}");
-        }
-
-        for p in [
-            &fleet_path,
-            &model_path,
-            &updated_path,
-            &tickets_path,
-            &stream_path,
-            &wal_path,
-        ] {
+        for p in [&fleet_path, &model_path, &updated_path, &tickets_path] {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -1636,6 +1326,26 @@ mod tests {
         assert!(missing_file
             .to_string()
             .contains("/definitely/not/here.json"));
+        assert_eq!(
+            wal_verify(&args(&["wal-verify"])).unwrap_err().exit_code(),
+            2
+        );
+        // A follower subscribes over TCP only, so a WAL path as --follow
+        // is refused, naming the endpoint form, before any model loads.
+        for follow in ["signals.wal", "file:signals.wal"] {
+            let err = serve(&args(&[
+                "serve",
+                "--model",
+                "/definitely/not/here.json",
+                "--listen",
+                "127.0.0.1:0",
+                "--follow",
+                follow,
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{err}");
+            assert!(err.to_string().contains("tcp://HOST:PORT"), "{err}");
+        }
     }
 
     #[test]
@@ -1644,8 +1354,7 @@ mod tests {
         // train children, the chaos harness's leader and standbys, and CI.
         for line in [
             "serve --model m --listen a --shards 8 --workers 2 --json --metrics-out x \
-             --feedback-wal w --replicate-listen r --max-frame-len 9 --queue-capacity 1 \
-             --degraded-at 1 --deadline-ms 1 --kind k",
+             --feedback-wal w --replicate-listen r --max-frame-len 9 --deadline-ms 1 --kind k",
             "serve --model m --listen a --follow f --replica-wal w --promote-listen p \
              --promote-after-ms 1 --shards 2 --json --metrics-out x",
             "generate --servers 1 --seed 1 --out o",

@@ -8,7 +8,7 @@
 //! typed [`LorentzError`] all the way to `main`.
 
 use lorentz_core::StoreError;
-use lorentz_serve::{EngineError, ServeError};
+use lorentz_serve::EngineError;
 use lorentz_types::LorentzError;
 use thiserror::Error;
 
@@ -28,7 +28,7 @@ pub enum CliError {
         source: std::io::Error,
     },
     /// User-provided content was malformed (profile spec, batch file,
-    /// request lines, ...).
+    /// ticket lines, ...).
     #[error("{0}")]
     InvalidInput(String),
     /// JSON (de)serialization failed.
@@ -37,10 +37,6 @@ pub enum CliError {
     /// The core recommender failed.
     #[error("{0}")]
     Lorentz(LorentzError),
-    /// The serving engine refused or failed a request in a context where
-    /// that aborts the command.
-    #[error("{0}")]
-    Serve(ServeError),
     /// The serving engine itself could not be constructed.
     #[error("{0}")]
     Engine(EngineError),
@@ -71,12 +67,6 @@ impl CliError {
 impl From<LorentzError> for CliError {
     fn from(e: LorentzError) -> Self {
         Self::Lorentz(e)
-    }
-}
-
-impl From<ServeError> for CliError {
-    fn from(e: ServeError) -> Self {
-        Self::Serve(e)
     }
 }
 

@@ -9,13 +9,13 @@
 //! lorentz recommend --model model.json --offering general_purpose \
 //!                   --profile "SegmentName=segmentname-0,VerticalName=verticalname-2" \
 //!                   [--source hierarchical|target-encoding|store]
-//! lorentz serve     --model model.json --requests requests.ndjson \
-//!                   [--workers 4] [--queue-capacity 1024] [--degraded-at N] \
-//!                   [--deadline-ms N] [--feedback-wal wal.log] \
-//!                   [--follow tcp://HOST:PORT] [--replica-wal wal.log] \
-//!                   [--promote-listen ADDR] [--json] [--metrics-out metrics.json]
 //! lorentz serve     --model model.json --listen 127.0.0.1:0 [--shards 8] \
-//!                   [--max-frame-len BYTES] [--replicate-listen tcp://HOST:PORT]
+//!                   [--deadline-ms N] [--feedback-wal wal.log] \
+//!                   [--replicate-listen tcp://HOST:PORT] [--max-frame-len BYTES] \
+//!                   [--json] [--metrics-out metrics.json]
+//! lorentz serve     --model model.json --listen 127.0.0.1:0 --follow tcp://HOST:PORT \
+//!                   [--replica-wal wal.log] [--promote-listen ADDR] \
+//!                   [--promote-after-ms N] [--json] [--metrics-out metrics.json]
 //! lorentz wal-verify --wal wal.log
 //! lorentz feedback  --model model.json --tickets tickets.ndjson [--out model.json]
 //! lorentz offering  --fleet fleet.json --profile "IndustryName=industryname-1"

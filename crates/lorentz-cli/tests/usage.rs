@@ -31,17 +31,11 @@ fn listen_with_follow_against_an_unreachable_upstream_fails_and_starts_no_server
     assert!(!stderr.contains("listening on"), "nothing served: {stderr}");
 }
 
-/// Runs `lorentz serve --model model.json --follow tcp://127.0.0.1:1`
-/// plus `extra`, which must fail on its flags before reading the model.
-fn standby_usage_error(extra: &[&str]) -> String {
+/// Runs `lorentz serve --model model.json` plus `extra`, which must fail
+/// on its flags (exit 2) before reading the model, and returns stderr.
+fn serve_usage_error(extra: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_lorentz"))
-        .args([
-            "serve",
-            "--model",
-            "model.json",
-            "--follow",
-            "tcp://127.0.0.1:1",
-        ])
+        .args(["serve", "--model", "model.json"])
         .args(extra)
         .output()
         .expect("spawn lorentz serve");
@@ -50,17 +44,56 @@ fn standby_usage_error(extra: &[&str]) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
 }
 
+const LEADER: [&str; 2] = ["--listen", "127.0.0.1:0"];
+const STANDBY: [&str; 4] = ["--listen", "127.0.0.1:0", "--follow", "tcp://127.0.0.1:1"];
+
+#[test]
+fn serve_without_listen_is_a_usage_error_naming_listen() {
+    let stderr = serve_usage_error(&[]);
+    assert!(stderr.contains("--listen"), "{stderr}");
+}
+
 #[test]
 fn follow_without_listen_is_a_usage_error_naming_listen() {
-    let stderr = standby_usage_error(&[]);
+    let stderr = serve_usage_error(&["--follow", "tcp://127.0.0.1:1"]);
     assert!(stderr.contains("--listen"), "{stderr}");
 }
 
 #[test]
 fn the_retired_standby_forms_are_usage_errors() {
-    let listen = ["--listen", "127.0.0.1:0"];
     for flag in ["--requests", "--await-promotion", "--run-ms"] {
-        let stderr = standby_usage_error(&[&listen[..], &[flag, "1"]].concat());
+        let stderr = serve_usage_error(&[&STANDBY[..], &[flag, "1"]].concat());
         assert!(stderr.contains(flag), "{flag}: {stderr}");
     }
+}
+
+#[test]
+fn the_deleted_request_file_flags_are_usage_errors_on_a_leader() {
+    for flag in ["--requests", "--queue-capacity", "--degraded-at"] {
+        let stderr = serve_usage_error(&[&LEADER[..], &[flag, "1"]].concat());
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn each_role_refuses_the_other_roles_flags() {
+    let wal = std::env::temp_dir().join(format!("lorentz-usage-{}.wal", std::process::id()));
+    let wal = wal.to_str().unwrap();
+    let standby_flags = [
+        ["--replica-wal", wal],
+        ["--promote-listen", "127.0.0.1:0"],
+        ["--promote-after-ms", "300"],
+    ];
+    for [flag, value] in standby_flags {
+        let stderr = serve_usage_error(&[&LEADER[..], &[flag, value]].concat());
+        assert!(stderr.contains(flag), "leader {flag}: {stderr}");
+    }
+    for [flag, value] in [
+        ["--feedback-wal", wal],
+        ["--replicate-listen", "tcp://127.0.0.1:0"],
+    ] {
+        let stderr = serve_usage_error(&[&STANDBY[..], &[flag, value]].concat());
+        assert!(stderr.contains(flag), "standby {flag}: {stderr}");
+    }
+    assert!(!std::path::Path::new(wal).exists(), "no log was created");
 }
